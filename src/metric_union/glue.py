@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CertificateViolation, InputError
 from .linalg import PointCloud
-from .metric import (_pairwise, build_partition, distortion_of,
+from .metric import (_pairwise, _readonly, build_partition, distortion_of,
                      validate_metric)
 from .union_embed import UnionEmbedding, embed_union
 
@@ -34,12 +34,6 @@ __all__ = ["GlueInstance", "ExternalExtension", "glue_instance",
 
 _BOUND_SLACK = 1e-6
 _REL = 1e-9
-
-
-def _readonly(a):
-    a = np.array(a)  # private copy: never freeze a caller's array in place
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,20 @@ The first-order certificate re-measures, at the returned y, that the unit
 directions (y - t_i)/||y - t_i|| of active constraints admit a convex
 combination with norm <= 1e-6 (equivalently 0 lies in their hull, the
 subdifferential condition for a minimizer of F).
+
+Sequential placement at a fixed level.  ``extend_sequential`` needs some
+image within the level lam = lip (1 + tol/2), not the optimal one.  It
+fixes s = lam^2 and makes one inner solve of v(s), on centered targets,
+over a working set that starts from the k + 1 sources nearest to x (k
+the target dimension: Helly's number for balls).  The returned y is
+measured against every current source and accepted when
+max_i ||y - t_i||^2 - s d_i^2 <= 0; otherwise the worst violator joins
+and the set is solved again.  Every accepted image is measured
+lam-Lipschitz against all earlier points, so by Kirszbraun's theorem the
+level-lam ball intersection stays non-empty at the next step.  An
+infeasible working set, a violator already in the set, lip = 0 and a
+snapped duplicate fall back to the optimal solver; the all-pairs gate at
+lip (1 + tol) on the final map is unchanged.
 """
 
 from dataclasses import dataclass
@@ -50,7 +64,6 @@ import numpy as np
 
 from .errors import InconsistentDuplicate, InputError, SolverStall
 from .linalg import PointCloud, pairwise_distances
-from .metric import _readonly
 
 __all__ = ["PartialMap", "extend_one_point", "extend_sequential"]
 
@@ -564,6 +577,25 @@ def _solve_extension(tgt, d):
     return y, F, cert
 
 
+def _snap(tgt, d):
+    """Recorded target when x coincides with a source, else None.
+
+    Coincidence is exact or within 1e-12 of the source scale; coinciding
+    sources with different targets raise InconsistentDuplicate.
+    """
+    dmax = float(d.max())
+    if dmax == 0.0:
+        return tgt[0].copy()
+    snap = d <= 1e-12 * dmax
+    if snap.any():
+        rows = tgt[snap]
+        if not np.all(rows == rows[0]):
+            ii = np.nonzero(snap)[0]
+            raise InconsistentDuplicate(int(ii[0]), int(ii[1]))
+        return rows[0].copy()
+    return None
+
+
 def _place_point(src, tgt, x, src_dim):
     """Duplicate handling plus the optimizer; no Lipschitz gate.
 
@@ -575,16 +607,9 @@ def _place_point(src, tgt, x, src_dim):
         raise InputError(
             f"point has dim {x.shape[0]}, sources have dim {src_dim}")
     d = np.sqrt(((x - src) ** 2).sum(axis=1))
-    dmax = float(d.max())
-    if dmax == 0.0:
-        return tgt[0].copy(), 0.0, 0.0
-    snap = d <= 1e-12 * dmax
-    if snap.any():
-        rows = tgt[snap]
-        if not np.all(rows == rows[0]):
-            ii = np.nonzero(snap)[0]
-            raise InconsistentDuplicate(int(ii[0]), int(ii[1]))
-        return rows[0].copy(), 0.0, 0.0
+    y = _snap(tgt, d)
+    if y is not None:
+        return y, 0.0, 0.0
 
     y, F, cert = _solve_extension(tgt, d)
     if cert > _CERT_TOL:
@@ -592,6 +617,36 @@ def _place_point(src, tgt, x, src_dim):
             F, F, message=f"first-order certificate failed: "
                           f"||combination|| = {cert:.3e}")
     return y, F, cert
+
+
+def _level_image(tgt, d, s):
+    """Some y with ||y - t_i||^2 <= s d_i^2 for every i, or None.
+
+    One inner solve at the fixed level s over a working set that starts
+    from the k + 1 sources nearest to x (k the target dimension) and grows
+    by the worst violator, measured at the returned y against every
+    source.  None when the
+    working set is infeasible at s, or when its worst violator is already
+    a member (rounding at a tight level).
+    """
+    center = tgt.mean(axis=0)
+    T = tgt - center
+    dd = d * d
+    work = [int(i) for i in np.argsort(d, kind="stable")[:tgt.shape[1] + 1]]
+    while True:
+        # cold start: a warm dual from the smaller set can stall the
+        # active-set loop at its iteration cap
+        y, v, *_ = _inner_solve(T[work], dd[work], s, None, None)
+        if v > 0.0:
+            return None
+        y = y + center
+        viol = ((y - tgt) ** 2).sum(axis=1) - s * dd
+        j = int(np.argmax(viol))
+        if viol[j] <= 0.0:
+            return y
+        if j in work:
+            return None
+        work.append(j)
 
 
 def extend_one_point(M: PartialMap, x, tol=1e-7) -> np.ndarray:
@@ -615,29 +670,42 @@ def extend_one_point(M: PartialMap, x, tol=1e-7) -> np.ndarray:
 def extend_sequential(M: PartialMap, xs: PointCloud, tol=1e-7) -> PointCloud:
     """Extend ``M`` over all rows of ``xs``, one point at a time.
 
-    Each placement becomes a constraint for the next; individual steps are
-    solved to optimality without a gate (a step may legitimately sit a few
-    ulp above lip).  The final map on sources + xs is re-measured pairwise
-    and must stay within M.lip * (1 + tol), else SolverStall.  Returns the
-    images of xs in row order.
+    Each placement becomes a constraint for the next.  A step only needs
+    an image within the fixed level lip * (1 + tol/2) of every earlier
+    point, not the minimax optimum, and takes the first one a fixed-level
+    feasibility solve finds.  Snapped duplicates, maps with lip 0 and
+    steps where that solve gives up go to the optimal solver instead,
+    without a gate (such a step may legitimately sit a few ulp above
+    lip).  The final map on sources + xs is re-measured pairwise and must
+    stay within M.lip * (1 + tol), else SolverStall.  Returns the images
+    of xs in row order.
     """
     if M.m == 0:
         raise InputError("cannot extend an empty partial map")
     if xs.m and xs.dim != M.sources.dim:
         raise InputError(
             f"xs has dim {xs.dim}, sources have dim {M.sources.dim}")
-    src = M.sources.points
-    tgt = M.targets.points
-    placed = []
+    m0 = M.m
+    src = np.empty((m0 + xs.m, M.sources.dim))
+    tgt = np.empty((m0 + xs.m, M.targets.dim))
+    src[:m0] = M.sources.points
+    tgt[:m0] = M.targets.points
+    level = M.lip * (1.0 + 0.5 * tol)
+    s = level * level
     for k in range(xs.m):
-        y, _, _ = _place_point(src, tgt, xs.points[k], M.sources.dim)
-        placed.append(y)
-        src = np.vstack([src, xs.points[k][None, :]])
-        tgt = np.vstack([tgt, y[None, :]])
+        m = m0 + k
+        x = xs.points[k]
+        d = np.sqrt(((x - src[:m]) ** 2).sum(axis=1))
+        y = None
+        if s > 0.0 and _snap(tgt[:m], d) is None:
+            y = _level_image(tgt[:m], d, s)
+        if y is None:
+            y, _, _ = _place_point(src[:m], tgt[:m], x, M.sources.dim)
+        src[m] = x
+        tgt[m] = y
 
     final_lip = _measured_lip(src, tgt)
     if final_lip > M.lip * (1.0 + tol):
         raise SolverStall(final_lip, M.lip * (1.0 + tol),
                           message="sequential extension exceeded tolerance")
-    out = np.asarray(placed) if placed else np.zeros((0, M.targets.dim))
-    return PointCloud(out)
+    return PointCloud(tgt[m0:])

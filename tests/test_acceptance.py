@@ -4,10 +4,11 @@ Each test delegates to the matching check in ``metric_union.acceptance``
 (the same code the ``selftest`` subcommand runs) and asserts its verdict,
 so a failure here prints the measured quantities for the criterion that
 broke.  Criterion 10 is checked on the real CLI: two subprocess runs of
-``metric-union selftest`` must emit byte-identical reports.
+``python -m metric_union.cli selftest`` must emit byte-identical reports.
 """
 
 import subprocess
+import sys
 import time
 
 import pytest
@@ -81,7 +82,8 @@ def test_criterion_10_selftest_determinism(ctx, tmp_path):
         out = tmp_path / f"selftest{k}.json"
         t0 = time.monotonic()
         proc = subprocess.run(
-            ["metric-union", "selftest", "--output", str(out)],
+            [sys.executable, "-m", "metric_union.cli", "selftest",
+             "--output", str(out)],
             capture_output=True)
         elapsed = time.monotonic() - t0
         assert elapsed < 120.0, f"selftest took {elapsed:.1f}s"

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from metric_union import (InconsistentDuplicate, InputError, PartialMap,
                           PointCloud, SolverStall, extend_one_point,
-                          extend_sequential, pairwise_distances, stream)
+                          extend_sequential, kirszbraun, pairwise_distances,
+                          stream)
 
 
 def _max_ratio(y, tgt, d):
@@ -58,6 +59,9 @@ def test_extension_snaps_to_duplicate_source():
                    PointCloud(np.array([[5.0, 5.0], [6.0, 5.0]])))
     np.testing.assert_array_equal(extend_one_point(M, [1.0, 0.0]),
                                   [6.0, 5.0])
+    out = extend_sequential(M, PointCloud(np.array([[0.5, 0.5],
+                                                    [1.0, 0.0]])))
+    np.testing.assert_array_equal(out.points[1], [6.0, 5.0])
 
 
 def test_extension_identity_map_stays_tight():
@@ -78,6 +82,10 @@ def test_single_source_maps_anywhere_within_ratio():
     y = extend_one_point(M, [1.0, 0.0])
     # lip 0 forces the image onto the lone target
     np.testing.assert_allclose(y, [3.0, 4.0], atol=1e-12)
+    out = extend_sequential(M, PointCloud(np.array([[1.0, 0.0],
+                                                    [-2.0, 5.0]])))
+    np.testing.assert_allclose(out.points, [[3.0, 4.0], [3.0, 4.0]],
+                               atol=1e-12)
 
 
 def test_empty_map_rejected():
@@ -128,6 +136,32 @@ def test_sequential_extension_all_pairs_check(seed):
     assert out.m == q and out.dim == dt
     lip_all = _lip_of(np.vstack([src, xs]), np.vstack([tgt, out.points]))
     assert lip_all <= M.lip * (1.0 + 1e-7)
+
+
+def test_sequential_extension_places_at_fixed_level(monkeypatch):
+    # maps with lip > 0 are placed by the fixed-level feasibility solve
+    # alone, each row within lip (1 + tol/2) of every earlier source
+    solves = []
+    optimal = kirszbraun._solve_extension
+    monkeypatch.setattr(kirszbraun, "_solve_extension",
+                        lambda *a: solves.append(a) or optimal(*a))
+    tol = 1e-7
+    for seed in range(30):
+        rng = stream(seed, "test.kirsz.level")
+        m = int(rng.integers(2, 31))
+        q = int(rng.integers(1, 11))
+        ds, dt = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        src = rng.normal(size=(m, ds))
+        tgt = rng.normal(size=(m, dt)) * float(rng.uniform(0.5, 2.0))
+        M = PartialMap(PointCloud(src), PointCloud(tgt))
+        assert M.lip > 0.0
+        xs = rng.normal(size=(q, ds))
+        out = extend_sequential(M, PointCloud(xs), tol=tol).points
+        S, T = np.vstack([src, xs]), np.vstack([tgt, out])
+        for k in range(m, m + q):
+            d = np.sqrt(((S[k] - S[:k]) ** 2).sum(axis=1))
+            assert _max_ratio(T[k], T[:k], d) <= M.lip * (1.0 + tol / 2)
+    assert not solves
 
 
 def test_sequential_extension_deterministic():
