@@ -247,8 +247,7 @@ def _grid_oracle(tgt, d):
         gx = np.linspace(center[0] - span, center[0] + span, 81)
         gy = np.linspace(center[1] - span, center[1] + span, 81)
         pts = np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
-        ratios = np.sqrt(
-            ((pts[:, None, :] - tgt[None, :, :]) ** 2).sum(axis=2)) / d
+        ratios = pairwise_distances(pts, tgt) / d
         F = ratios.max(axis=1)
         k = int(np.argmin(F))
         if F[k] < best:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import CertificateViolation, InputError
 from .linalg import PointCloud
-from .metric import (_pairwise, _readonly, build_partition, distortion_of,
-                     validate_metric)
+from .metric import (_readonly, build_partition, distortion_of,
+                     pairwise_distances, validate_metric)
 from .union_embed import UnionEmbedding, embed_union
 
 __all__ = ["GlueInstance", "ExternalExtension", "glue_instance",
@@ -127,8 +127,8 @@ def glue_instance(u_points, v_points, a_idx, b_idx, pairing) -> GlueInstance:
         raise InputError("pairing must be a bijection onto b_idx")
 
     if a_idx.size >= 2:
-        du = _pairwise(U[a_idx])
-        dv = _pairwise(V[pair])
+        du = pairwise_distances(U[a_idx])
+        dv = pairwise_distances(V[pair])
         iu, jv = np.triu_indices(a_idx.size, k=1)
         du, dv = du[iu, jv], dv[iu, jv]
         if (du <= 0.0).any() or (dv <= 0.0).any():
@@ -157,8 +157,8 @@ def _glue_parts(G: GlueInstance):
     U = G.u_points.points
     V = G.v_points.points
     nu = U.shape[0]
-    uu = _pairwise(U)
-    vv_direct = _pairwise(V)
+    uu = pairwise_distances(U)
+    vv_direct = pairwise_distances(V)
     ua = uu[:, G.a_idx]                 # (nu, m) walk to a pairing point
     bp = vv_direct[:, G.pairing]        # (nv, m) walk to a partner image
     aa = uu[np.ix_(G.a_idx, G.a_idx)]   # (m, m) walk between pairing points
@@ -251,8 +251,8 @@ def external_extend(G: GlueInstance, tol: float = 1e-7) -> ExternalExtension:
     d2 = 1.0
     witness2 = None
     if V.shape[0] >= 2:
-        dv = _pairwise(V)
-        dimg = _pairwise(f2.points)
+        dv = pairwise_distances(V)
+        dimg = pairwise_distances(f2.points)
         iu, jv = np.triu_indices(V.shape[0], k=1)
         ratios = dimg[iu, jv] / dv[iu, jv]
         k = int(np.argmin(ratios))

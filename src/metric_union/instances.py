@@ -19,8 +19,8 @@ import numpy as np
 from .errors import InputError
 from .glue import GlueInstance, glue_instance
 from .linalg import PointCloud
-from .metric import (FiniteMetricSpace, UnionPartition, _pairwise,
-                     build_partition, validate_metric)
+from .metric import (FiniteMetricSpace, UnionPartition, build_partition,
+                     pairwise_distances, validate_metric)
 from .seeds import stream
 
 __all__ = ["Instance", "shortest_path_closure", "union_instance",
@@ -71,8 +71,8 @@ def union_instance(n_a, n_b, dim_a, dim_b, seed, overlap=0,
     idx_a = np.arange(n_a)
     idx_b = np.concatenate([np.arange(o), np.arange(n_a, n)])
 
-    da = _pairwise(pts_a)
-    db = _pairwise(pts_b)
+    da = pairwise_distances(pts_a)
+    db = pairwise_distances(pts_b)
     m_scale = max(da.max(), db.max(), 1e-9)
     w = np.zeros((n, n))
     w[np.ix_(idx_a, idx_a)] = da

@@ -63,7 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentDuplicate, InputError, SolverStall
-from .linalg import PointCloud, pairwise_distances
+from .linalg import PointCloud
+from .metric import _squared_distances, pairwise_distances
 
 __all__ = ["PartialMap", "extend_one_point", "extend_sequential"]
 
@@ -473,7 +474,7 @@ def _level_solve(tgt, d):
     # such constraints can never be active at any level we evaluate.
     # Dropping them keeps the dual's scale -- and with it the achievable
     # gap tolerance -- tied to the constraints that matter.
-    D2 = ((T[:, None, :] - T[None, :, :]) ** 2).sum(axis=2)
+    D2 = _squared_distances(T)
     lb = float((np.sqrt(D2) / (d[:, None] + d[None, :])).max())
     s_lb = lb * lb * (1.0 - 1e-6)
     keep = dd <= 4.0 * (float(dd.min()) + float(D2.max()) / s_lb)
@@ -552,7 +553,7 @@ def _solve_extension(tgt, d):
     m = tgt.shape[0]
 
     # seed with the pair forcing the largest unavoidable ratio
-    D2 = ((tgt[:, None, :] - tgt[None, :, :]) ** 2).sum(axis=2)
+    D2 = _squared_distances(tgt)
     lbs = np.sqrt(D2) / (d[:, None] + d[None, :])
     np.fill_diagonal(lbs, -1.0)
     i0, j0 = np.unravel_index(int(np.argmax(lbs)), lbs.shape)

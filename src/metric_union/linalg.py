@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, InputError, LengthMismatchError,
                      NotEuclidean, NotSymmetricError)
-from .metric import FiniteMetricSpace, _pairwise, _readonly
+from .metric import FiniteMetricSpace, _readonly, pairwise_distances
 
 __all__ = [
     "PointCloud", "SymEigen", "sym_eigen", "mds_isometric_embed",
@@ -47,11 +47,6 @@ class PointCloud:
 
     def scaled(self, factor):
         return PointCloud(self.points * float(factor))
-
-
-def pairwise_distances(cloud) -> np.ndarray:
-    """Euclidean distance matrix of a cloud (or bare array)."""
-    return _pairwise(getattr(cloud, "points", cloud))
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,7 @@ def mds_isometric_embed(X: FiniteMetricSpace, tol=1e-9) -> PointCloud:
         raise NotEuclidean(lam_min)
     keep = eig.values > thresh
     coords = eig.vectors[:, keep] * np.sqrt(eig.values[keep])
-    realized = _pairwise(coords)
+    realized = pairwise_distances(coords)
     err = float(np.abs(realized - D).max())
     if err > 1e-8 * max(float(D.max()), 1e-300):
         raise NotEuclidean(lam_min)

@@ -19,7 +19,7 @@ from .errors import (DuplicateEdge, InputError, RangeViolation,
                      RetryBudgetExceeded, SelfLoop, SingularPencil)
 from .linalg import sym_eigen
 from .metric import (FiniteMetricSpace, UnionPartition, _readonly,
-                     build_partition, validate_metric)
+                     _squared_distances, build_partition, validate_metric)
 from .seeds import stream
 
 __all__ = [
@@ -210,20 +210,16 @@ def ratio_check(split: BipartiteSplit, images) -> tuple:
     if pts.shape[0] != 2 * split.n:
         raise InputError(f"{pts.shape[0]} image rows for {2 * split.n} "
                          f"vertices")
-    def sq(e):
-        return ((pts[e[:, 0]] - pts[e[:, 1]]) ** 2).sum(axis=1)
-
-    cross = np.column_stack([
-        np.repeat(np.arange(split.n), split.n),
-        np.tile(np.arange(split.n, 2 * split.n), split.n)])
-    mean_all = float(sq(cross).mean())
+    n = split.n
+    cross = _squared_distances(pts[:n], pts[n:])   # every A-B pair
+    mean_all = float(cross.mean())
     if mean_all == 0.0:
         raise InputError("all cross images coincide; ratios are undefined")
     lo = (1.0 + split.delta_star) ** -2
     hi = (1.0 + split.delta_star) ** 2
     out = []
     for name, e in (("e1", split.e1), ("e2", split.e2)):
-        r = float(sq(e).mean()) / mean_all
+        r = float(cross[e[:, 0], e[:, 1] - n].mean()) / mean_all
         tol = 1e-9 * hi
         if not (lo - tol <= r <= hi + tol):
             raise RangeViolation(name, r, lo, hi)

@@ -1,4 +1,5 @@
-"""Finite metric spaces, two-sided partitions, and distortion reports.
+"""Finite metric spaces, two-sided partitions, distortion reports, and the
+Euclidean distance kernel every audit measures with.
 
 A space is a dense symmetric distance matrix with optional labels.  A
 partition marks two (possibly overlapping) index sets A and B that together
@@ -17,9 +18,11 @@ from .errors import (AsymmetryError, CollapsedPairError, CoverageError,
 __all__ = [
     "FiniteMetricSpace", "UnionPartition", "DistortionReport",
     "validate_metric", "build_partition", "distortion_of",
+    "pairwise_distances",
 ]
 
 _MAX_RECORDED = 10_000  # cap on stored violations for pathological inputs
+_BLOCK = 1 << 20        # float64 elements in one row block's difference tensor
 
 
 def _readonly(a):
@@ -221,11 +224,40 @@ def build_partition(X: FiniteMetricSpace, idx_a, idx_b) -> UnionPartition:
                           r_a=_readonly(r_a), r_b=_readonly(r_b))
 
 
-def _pairwise(points):
-    """Dense Euclidean distance matrix (symmetric by construction)."""
-    pts = np.asarray(points, dtype=np.float64)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+def _squared_distances(p, q=None):
+    """Squared Euclidean distances between the rows of ``p`` and ``q``.
+
+    The one distance kernel; see ``pairwise_distances``.
+    """
+    p = np.asarray(getattr(p, "points", p), dtype=np.float64)
+    q = p if q is None else np.asarray(getattr(q, "points", q),
+                                       dtype=np.float64)
+    rows = max(1, _BLOCK // max(q.size, 1))
+    out = None
+    for lo in range(0, max(p.shape[0], 1), rows):   # once even if p is empty
+        diff = p[lo:lo + rows, None, :] - q[None, :, :]
+        if out is None:
+            # allocated after the first temporary: with the result below
+            # it, the heap fragmented over repeated calls and the glue
+            # benchmark's peak RSS grew by up to 18%
+            out = np.empty((p.shape[0], q.shape[0]))
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[lo:lo + rows])
+    return out
+
+
+def pairwise_distances(p, q=None) -> np.ndarray:
+    """Euclidean distances between the rows of ``p`` and ``q`` (default p).
+
+    Either argument is a point cloud or a bare (m, dim) array.  Rows of
+    ``p`` are taken in blocks whose difference tensor holds at most 2**20
+    float64 elements (8 MB), or a single row when one row is larger, so
+    memory beyond the (len(p), len(q)) result does not grow with len(p).
+    Each entry is reduced by the same expression in every block, so the
+    result does not depend on the blocking, and ``pairwise_distances(p)``
+    is exactly symmetric with a zero diagonal.
+    """
+    out = _squared_distances(p, q)
+    return np.sqrt(out, out=out)
 
 
 def distortion_of(X: FiniteMetricSpace, images, subset=None) -> DistortionReport:
@@ -242,12 +274,16 @@ def distortion_of(X: FiniteMetricSpace, images, subset=None) -> DistortionReport
     if pts.shape[0] != subset.size:
         raise InputError(
             f"{pts.shape[0]} image rows for {subset.size} points")
+    return _distortion_report(X.dist[np.ix_(subset, subset)],
+                              pairwise_distances(pts), subset)
+
+
+def _distortion_report(dm, de, subset):
+    """DistortionReport from the true (``dm``) and image (``de``) distance
+    matrices over ``subset``; raises CollapsedPairError."""
     m = subset.size
     if m < 2:
         return DistortionReport(1.0, 1.0, 1.0, None, None, int(m))
-
-    dm = X.dist[np.ix_(subset, subset)]
-    de = _pairwise(pts)
     iu, ju = np.triu_indices(m, k=1)
     d_true = dm[iu, ju]
     d_img = de[iu, ju]

@@ -12,13 +12,10 @@ at alpha = 1/2, and below 8.93 for isometric sides at alpha = 0.3114.
 
 Every inequality the analysis relies on is re-measured on the produced
 coordinates and recorded as a named AuditEntry; any failing entry raises
-AuditViolation carrying the full entry list.  Audit reductions may be
-spread over threads (METRIC_UNION_THREADS) without changing results.
+AuditViolation carrying the full entry list.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +25,7 @@ from .errors import AuditViolation, InputDistortionError, InputError
 from .kirszbraun import PartialMap, extend_sequential
 from .linalg import PointCloud, direct_sum
 from .metric import (DistortionReport, FiniteMetricSpace, UnionPartition,
-                     distortion_of)
+                     _distortion_report, distortion_of, pairwise_distances)
 
 __all__ = [
     "EmbedParams", "AuditEntry", "PsiResult", "UnionEmbedding",
@@ -157,39 +154,6 @@ class UnionEmbedding:
         }
 
 
-def _thread_count():
-    raw = os.environ.get("METRIC_UNION_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise InputError(f"METRIC_UNION_THREADS must be an integer, "
-                         f"got {raw!r}") from None
-    return max(1, k)
-
-
-def _dist_rows(pts, lo, hi):
-    diff = pts[lo:hi, None, :] - pts[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
-def _image_distances(pts):
-    """Pairwise distances, row blocks optionally spread over threads.
-
-    Each entry is computed by the same expression either way, so the
-    result is bit-identical regardless of the thread count.
-    """
-    n = pts.shape[0]
-    k = min(_thread_count(), n)
-    if k <= 1 or n < 64:
-        return _dist_rows(pts, 0, n)
-    edges = np.linspace(0, n, k + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        blocks = list(pool.map(
-            lambda t: _dist_rows(pts, t[0], t[1]),
-            zip(edges[:-1], edges[1:])))
-    return np.vstack(blocks)
-
-
 def _as_cloud(obj):
     return obj if isinstance(obj, PointCloud) else PointCloud(np.asarray(obj))
 
@@ -311,7 +275,7 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     psi[ib] = phi_b.points   # home side last: psi restricted to B is phi_b
 
     audit = _Collector()
-    Dimg = _image_distances(psi)
+    Dimg = pairwise_distances(psi)
     Dx = X.dist
     lf = f_lip_bound(params.alpha)
 
@@ -385,10 +349,10 @@ def _claim_case_bound_sq(d, ra, rb, beta):
         default=delta_sq)
 
 
-def _full_audit(X, P, params, phi_a, phi_b, full_pts, psi_delta):
+def _full_audit(X, P, params, phi_a, phi_b, Dimg, psi_delta):
+    """Entries of the direct sum, from its image distance matrix Dimg."""
     ia, ib = P.idx_a, P.idx_b
     audit = _Collector()
-    Dimg = _image_distances(full_pts)
     Dx = X.dist
     sq_a, sq_b, sq_x = _sq_bounds(params)
 
@@ -409,11 +373,11 @@ def _full_audit(X, P, params, phi_a, phi_b, full_pts, psi_delta):
 
     # the direct sum can only add to the per-side coordinate distances
     ta = np.triu_indices(ia.size, k=1)
-    da_img = _image_distances(phi_a.points)
+    da_img = pairwise_distances(phi_a)
     audit.add("full.dominates_phi_a", "lower",
               Dimg[np.ix_(ia, ia)][ta] / da_img[ta], pa, 1.0)
     tb = np.triu_indices(ib.size, k=1)
-    db_img = _image_distances(phi_b.points)
+    db_img = pairwise_distances(phi_b)
     audit.add("full.dominates_phi_b", "lower",
               Dimg[np.ix_(ib, ib)][tb] / db_img[tb], pb, 1.0)
 
@@ -474,10 +438,10 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     psi_delta = PointCloud(delta)
 
     full = direct_sum([res_a.cloud, res_b.cloud, psi_delta])
-    report = distortion_of(X, full)
+    Dimg = pairwise_distances(full)
+    report = _distortion_report(X.dist, Dimg, np.arange(X.n))
     audit = (res_a.entries + res_b.entries
-             + _full_audit(X, P, params, phi_a, phi_b, full.points,
-                           psi_delta))
+             + _full_audit(X, P, params, phi_a, phi_b, Dimg, psi_delta))
     _raise_if_failing(audit)
     return UnionEmbedding(psi_a=res_a.cloud, psi_b=res_b.cloud,
                           psi_delta=psi_delta, full=full, report=report,

@@ -1,4 +1,7 @@
-"""Point clouds, checked eigensystems, and MDS realizations."""
+"""Point clouds, checked eigensystems, MDS realizations, and the distance
+kernel."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from metric_union import (ConvergenceError, InputError, LengthMismatchError,
                           direct_sum, mds_best_effort, mds_isometric_embed,
                           pairwise_distances, stream, sym_eigen,
                           validate_metric)
+from metric_union.metric import _BLOCK
 
 
 def test_point_cloud_is_immutable_copy():
@@ -112,3 +116,36 @@ def test_direct_sum_pythagoras():
 
 def test_convergence_error_is_exported():
     assert issubclass(ConvergenceError, Exception)
+
+
+def _one_shot(p, q):
+    diff = p[:, None, :] - q[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def test_pairwise_distances_independent_of_row_blocks():
+    rng = stream(0, "test.pairwise_blocks")
+    sq = rng.normal(size=(200, 100))
+    p, q = rng.normal(size=(300, 120)), rng.normal(size=(90, 120))
+    for a, b in ((sq, sq), (p, q)):
+        assert a.shape[0] >= 3 * (_BLOCK // b.size)   # three or more blocks
+    D = pairwise_distances(sq)
+    assert np.array_equal(D, _one_shot(sq, sq))
+    assert np.array_equal(D, D.T)
+    assert not np.diagonal(D).any()
+    R = pairwise_distances(p, q)
+    assert R.shape == (300, 90)
+    assert np.array_equal(R, _one_shot(p, q))
+    assert np.array_equal(pairwise_distances(PointCloud(sq)), D)
+    assert np.array_equal(pairwise_distances(PointCloud(p), PointCloud(q)), R)
+
+
+def test_pairwise_distances_memory_is_bounded():
+    pts = stream(1, "test.pairwise_memory").normal(size=(300, 300))
+    tracemalloc.start()
+    try:
+        pairwise_distances(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20   # a one-shot difference tensor is 216 MB
