@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import CertificateViolation, InputError
 from .linalg import PointCloud
-from .metric import (_readonly, build_partition, distortion_of,
-                     pairwise_distances, validate_metric)
+from .metric import (_min_plus, _readonly, build_partition,
+                     distortion_of, pairwise_distances, validate_metric)
 from .union_embed import UnionEmbedding, embed_union
 
 __all__ = ["GlueInstance", "ExternalExtension", "glue_instance",
@@ -153,7 +153,14 @@ def glue_instance(u_points, v_points, a_idx, b_idx, pairing) -> GlueInstance:
 
 
 def _glue_parts(G: GlueInstance):
-    """Distance blocks of the quotient plus the V'-row placement maps."""
+    """Distance blocks of the quotient plus the V'-row placement maps.
+
+    The cross block and the V' detours are min-plus products, taken by
+    ``metric._min_plus`` in blocks whose sum tensor is no larger than the
+    block it produces and at most 2**20 float64 elements, so no
+    (nu, nv, m) or (nv, nv, m) tensor is built.  Sums and minima are
+    exact, so the blocks do not depend on the blocking.
+    """
     U = G.u_points.points
     V = G.v_points.points
     nu = U.shape[0]
@@ -163,9 +170,9 @@ def _glue_parts(G: GlueInstance):
     bp = vv_direct[:, G.pairing]        # (nv, m) walk to a partner image
     aa = uu[np.ix_(G.a_idx, G.a_idx)]   # (m, m) walk between pairing points
 
-    cross = (ua[:, None, :] + bp[None, :, :]).min(axis=2)
-    half = (bp[:, :, None] + aa[None, :, :]).min(axis=1)
-    routed = (half[:, None, :] + bp[None, :, :]).min(axis=2)
+    cross = _min_plus(ua, bp.T)
+    half = _min_plus(bp, aa)
+    routed = _min_plus(half, bp.T)
     # the detour cost is symmetric, but its two summation orders round
     # differently; take the elementwise min so the matrix is exact
     routed = np.minimum(routed, routed.T)

@@ -123,33 +123,40 @@ def parse_space(obj) -> FiniteMetricSpace:
     return validate_metric(dist, labels=labels)
 
 
+def _integer(value, where):
+    """A JSON number with an integral value (not a boolean) -> int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _indices(value, where):
+    """A JSON list of integers -> index array; never truncates 0.7 to 0."""
+    if not isinstance(value, list):
+        raise InputError(f"{where} must be an integer index list")
+    try:
+        return np.array([_integer(v, f"{where} entry") for v in value],
+                        dtype=np.intp)
+    except OverflowError:
+        raise InputError(f"{where} has an entry out of range") from None
+
+
 def parse_partition(obj, X: FiniteMetricSpace) -> UnionPartition:
     """{"a": [...], "b": [...]} -> validated partition of ``X``."""
-    a = _require(obj, "a", "partition")
-    b = _require(obj, "b", "partition")
-    try:
-        return build_partition(X, np.asarray(a, dtype=np.intp),
-                               np.asarray(b, dtype=np.intp))
-    except (TypeError, ValueError):
-        raise InputError("partition sides must be integer index lists") \
-            from None
+    a = _indices(_require(obj, "a", "partition"), "partition.a")
+    b = _indices(_require(obj, "b", "partition"), "partition.b")
+    return build_partition(X, a, b)
 
 
 def parse_cloud(obj, where="points") -> PointCloud:
     """{"dim": k, "points": [[...]]} -> point cloud."""
     pts = _matrix(_require(obj, "points", where), f"{where}.points")
     dim = obj.get("dim")
-    if dim is not None and int(dim) != pts.shape[1]:
+    if dim is not None and _integer(dim, f"{where}.dim") != pts.shape[1]:
         raise InputError(
             f"{where}.dim = {dim} but points have {pts.shape[1]} columns")
     return PointCloud(pts)
-
-
-def _indices(value, where):
-    try:
-        return np.asarray(value, dtype=np.intp).ravel()
-    except (TypeError, ValueError):
-        raise InputError(f"{where} must be an integer index list") from None
 
 
 def parse_glue(obj) -> GlueInstance:

@@ -123,6 +123,15 @@ def validate_metric(dist, labels=None, tol=1e-12) -> FiniteMetricSpace:
         Relative slack for the triangle inequality; d(i,j) may exceed
         d(i,k) + d(k,j) by at most tol * max(dist).
 
+    The triangle check first screens every row against the min-plus
+    square min_k (d(i,k) + d(k,j)), computed in blocks whose sum tensor
+    holds at most n * n and at most 2**20 float64 elements (8 MB), so
+    memory beyond a few (n, n) matrices does not grow with n.  Only the
+    rows the screen flags are then scanned k by k for witnesses.  The
+    screen misses no violation, so the recorded violations, their order
+    and their count are those of a full scan, and a valid metric is never
+    scanned k by k.
+
     Raises
     ------
     InputError
@@ -176,15 +185,22 @@ def validate_metric(dist, labels=None, tol=1e-12) -> FiniteMetricSpace:
             record(ZeroOffDiagonal(int(i), int(j)))
 
     slack_abs = tol * float(np.abs(D).max())
-    for k in range(n):
-        excess = D - (D[:, k:k + 1] + D[k:k + 1, :])
-        bad = np.argwhere(excess > slack_abs)
-        for i, j in bad:
-            if i != k and j != k and i != j:
-                record(TriangleViolation(int(i), int(j), int(k),
-                                         float(excess[i, j])))
-        if total > _MAX_RECORDED:
-            break
+    # Screen: max_k of the excess D[i, j] - (D[i, k] + D[k, j]) is
+    # D[i, j] - min_k (D[i, k] + D[k, j]), because rounding is monotone and
+    # min is exact, so a row with no flagged entry holds no violation.
+    rows = np.nonzero((D - _min_plus(D, D) > slack_abs).any(axis=1))[0]
+    if rows.size:
+        Dr = D[rows]
+        for k in range(n):
+            excess = Dr - (Dr[:, k:k + 1] + D[k:k + 1, :])
+            bad = np.argwhere(excess > slack_abs)
+            for r, j in bad:
+                i = rows[r]
+                if i != k and j != k and i != j:
+                    record(TriangleViolation(int(i), int(j), int(k),
+                                             float(excess[r, j])))
+            if total > _MAX_RECORDED:
+                break
 
     if violations:
         first = violations[0]
@@ -242,6 +258,33 @@ def _squared_distances(p, q=None):
             # benchmark's peak RSS grew by up to 18%
             out = np.empty((p.shape[0], q.shape[0]))
         np.einsum("ijk,ijk->ij", diff, diff, out=out[lo:lo + rows])
+    return out
+
+
+def _min_plus(a, b):
+    """Min-plus product: ``out[i, j] = min_k (a[i, k] + b[k, j])``.
+
+    Rows of ``a`` and the shared index k are taken in blocks whose sum
+    tensor holds no more elements than the (len(a), b.shape[1]) result and
+    at most ``_BLOCK`` (8 MB), or one row of one k when that is larger, so
+    a small product allocates little and memory beyond the result does not
+    grow with the inputs.  Sums and minima are exact, so the result does
+    not depend on the blocking.
+    """
+    cols = b.shape[1]
+    budget = min(_BLOCK, a.shape[0] * cols)
+    ks = min(b.shape[0], max(1, budget // cols))
+    rows = max(1, budget // (ks * cols))
+    out = np.empty((a.shape[0], cols))
+    for lo in range(0, a.shape[0], rows):
+        block = out[lo:lo + rows]
+        for k in range(0, b.shape[0], ks):
+            s = a[lo:lo + rows, k:k + ks, None] + b[None, k:k + ks, :]
+            if k == 0:
+                s.min(axis=1, out=block)
+            else:
+                np.minimum(block, s.min(axis=1), out=block)
+            del s   # freed before the next block's sum is allocated
     return out
 
 

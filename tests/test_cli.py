@@ -190,6 +190,19 @@ def test_glue_bad_pairing_maps_to_input_error(tmp_path, capsys):
     assert main(["glue", "--input", path]) == 1
 
 
+@pytest.mark.parametrize("bad", [{"partition": {"a": [0.7], "b": [1]}},
+                                 {"phi_a": {"dim": "x", "points": [[0.0]]}},
+                                 {"phi_a": {"dim": [1], "points": [[0.0]]}},
+                                 {"phi_a": {"dim": 2.7,
+                                            "points": [[0.0, 0.0]]}}])
+def test_embed_rejects_non_integer_fields(tmp_path, capsys, bad):
+    obj = {"space": {"dist": [[0.0, 1.0], [1.0, 0.0]]},
+           "partition": {"a": [0], "b": [1]}}
+    path = _write(tmp_path, "embed_bad.json", dict(obj, **bad))
+    assert main(["embed", "--input", path]) == 1
+    assert _stderr_payload(capsys)["error"] == "InputError"
+
+
 def test_runtime_goes_to_stderr_only(tmp_path, capsys):
     path = _write(tmp_path, "m.json", {"dist": [[0, 2], [2, 0]]})
     assert main(["check-metric", "--input", path]) == 0

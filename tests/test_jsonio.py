@@ -117,3 +117,41 @@ def test_parse_glue():
     bad = dict(obj, pairing=[0, 1, "x"])
     with pytest.raises(InputError):
         parse_glue(bad)
+
+
+@pytest.mark.parametrize("dim", ["x", [2], 2.7, True, 10 ** 400, None])
+def test_parse_cloud_rejects_non_integer_dim(dim):
+    obj = {"dim": dim, "points": [[0, 0], [1, 1]]}
+    if dim is None:
+        assert parse_cloud(obj).dim == 2                  # null = absent
+        return
+    with pytest.raises(InputError, match="dim"):
+        parse_cloud(obj)
+
+
+def test_parse_cloud_accepts_integral_float_dim():
+    assert parse_cloud({"dim": 2.0, "points": [[0, 0], [1, 1]]}).dim == 2
+
+
+@pytest.mark.parametrize("side", [[0.7, 1], [True, 1], [[0, 1]], 1, [1e300],
+                                  [10 ** 400]])
+def test_parse_partition_rejects_non_integer_indices(side):
+    X = parse_space({"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]})
+    with pytest.raises(InputError, match="partition.a"):
+        parse_partition({"a": side, "b": [1, 2]}, X)
+    P = parse_partition({"a": [0.0, 1], "b": [1, 2]}, X)  # integral value
+    np.testing.assert_array_equal(P.idx_a, [0, 1])
+
+
+@pytest.mark.parametrize("field", ["a_idx", "b_idx", "pairing"])
+def test_parse_glue_rejects_fractional_indices(field):
+    obj = {
+        "u_points": {"points": [[0.0], [1.0], [2.0]]},
+        "v_points": {"points": [[0.0], [2.0], [1.0]]},
+        "a_idx": [0, 1, 2],
+        "b_idx": [0, 1, 2],
+        "pairing": [0, 1, 2],
+    }
+    obj[field] = [0, 1, 2.5]
+    with pytest.raises(InputError, match=field):
+        parse_glue(obj)

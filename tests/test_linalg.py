@@ -13,7 +13,7 @@ from metric_union import (ConvergenceError, InputError, LengthMismatchError,
                           direct_sum, mds_best_effort, mds_isometric_embed,
                           pairwise_distances, stream, sym_eigen,
                           validate_metric)
-from metric_union.metric import _BLOCK
+from metric_union.metric import _BLOCK, _min_plus
 
 
 def test_point_cloud_is_immutable_copy():
@@ -149,3 +149,62 @@ def test_pairwise_distances_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20   # a one-shot difference tensor is 216 MB
+
+
+def _one_shot_min_plus(a, b):
+    return (a[:, :, None] + b[None]).min(axis=1)
+
+
+def _min_plus_blocks(a, b):
+    """(row blocks, k blocks) that ``_min_plus`` takes for a @ b."""
+    cols = b.shape[1]
+    budget = min(_BLOCK, a.shape[0] * cols)
+    ks = min(b.shape[0], max(1, budget // cols))
+    rows = max(1, budget // (ks * cols))
+    return -(-a.shape[0] // rows), -(-b.shape[0] // ks)
+
+
+def test_min_plus_independent_of_blocks():
+    rng = stream(0, "test.min_plus_blocks")
+    sq = rng.uniform(0.0, 10.0, size=(160, 160))
+    p, q = rng.uniform(size=(700, 50)), rng.uniform(size=(90, 50))
+    tall = rng.normal(size=(1100, 3)), rng.normal(size=(3, 1000))
+    wide = rng.normal(size=(3, 40)), rng.normal(size=(40, 30000))
+    cases = [(sq, sq), (p, q.T), tall, wide]  # q.T: a transposed view
+    for a, b in cases:
+        assert _min_plus_blocks(a, b)[0] >= 3
+    assert tall[0].shape[0] * tall[1].shape[1] > _BLOCK  # capped by _BLOCK
+    assert _min_plus_blocks(*wide)[1] >= 3               # splits k too
+    cases += [(rng.normal(size=(1, 1)), rng.normal(size=(1, 1))),
+              (rng.normal(size=(5, 1)), rng.normal(size=(1, 7)))]
+    for a, b in cases:
+        M = _min_plus(a, b)
+        assert M.shape == (a.shape[0], b.shape[1])
+        assert np.array_equal(M, _one_shot_min_plus(a, b))
+
+
+def test_min_plus_memory_is_bounded():
+    # the quotient blocks of the largest seed-0 glue benchmark instance:
+    # 159 U' points, 231 V' points, 113 pairs
+    rng = stream(1, "test.min_plus_memory")
+    ua = rng.uniform(size=(159, 113))
+    bp = rng.uniform(size=(231, 113))
+    aa = rng.uniform(size=(113, 113))
+    tracemalloc.start()
+    try:
+        _min_plus(ua, bp.T)
+        half = _min_plus(bp, aa)
+        _min_plus(half, bp.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20   # one-shot sum tensors are 33 to 48 MB
+
+    D = rng.uniform(size=(120, 120))
+    tracemalloc.start()
+    try:
+        _min_plus(D, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * D.nbytes  # a small square takes no 8 MB block

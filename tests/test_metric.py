@@ -10,6 +10,7 @@ from metric_union import (AsymmetryError, CollapsedPairError, CoverageError,
                           NonzeroDiagonal, TriangleViolation, ZeroOffDiagonal,
                           build_partition, distortion_of, stream,
                           validate_metric)
+from metric_union.metric import _MAX_RECORDED, _min_plus
 
 
 def _euclidean(points):
@@ -92,6 +93,104 @@ def test_euclidean_matrices_always_validate(seed, n, dim):
     D = _euclidean(pts)
     X = validate_metric(D, tol=1e-9)
     assert X.n == n
+
+
+def _per_k_scan(D, tol=1e-12):
+    """Reference: every axiom check of ``validate_metric`` with the full
+    per-k triangle loop over all rows, as it ran before the screen."""
+    n = D.shape[0]
+    violations = []
+    total = 0
+
+    def record(v):
+        nonlocal total
+        total += 1
+        if len(violations) < _MAX_RECORDED:
+            violations.append(v)
+
+    gap = D - D.T
+    for i, j in np.argwhere(gap != 0.0):
+        if i < j:
+            record(AsymmetryError(int(i), int(j), float(abs(gap[i, j]))))
+    for i, j in np.argwhere(D < 0.0):
+        record(NegativeDistanceError(int(i), int(j), float(D[i, j])))
+    diag = np.diagonal(D)
+    for i in np.nonzero(diag != 0.0)[0]:
+        if diag[i] >= 0.0:
+            record(NonzeroDiagonal(int(i), float(diag[i])))
+    for i, j in np.argwhere((D == 0.0) & ~np.eye(n, dtype=bool)):
+        if i < j:
+            record(ZeroOffDiagonal(int(i), int(j)))
+    slack_abs = tol * float(np.abs(D).max())
+    for k in range(n):
+        excess = D - (D[:, k:k + 1] + D[k:k + 1, :])
+        for i, j in np.argwhere(excess > slack_abs):
+            if i != k and j != k and i != j:
+                record(TriangleViolation(int(i), int(j), int(k),
+                                         float(excess[i, j])))
+        if total > _MAX_RECORDED:
+            break
+    return violations, total
+
+
+def _fields(v):
+    return (type(v), {key: val for key, val in vars(v).items()
+                      if key not in ("violations", "total")})
+
+
+def test_validate_metric_matches_per_k_scan():
+    rng = stream(0, "test.validate_parity")
+
+    def euclid(n):
+        return _euclidean(rng.normal(size=(n, 3)))
+
+    cases = []
+    for _ in range(3):
+        D = euclid(40)                                   # asymmetric entries
+        for i, j in rng.integers(0, 40, size=(3, 2)):
+            D[i, j] *= 1.0 + rng.uniform(0.01, 2.0)
+        cases.append(D)
+        D = euclid(30)                                   # negative entries
+        for i, j in rng.integers(0, 30, size=(2, 2)):
+            D[i, j] = D[j, i] = -D[i, j]
+        cases.append(D)
+        D = euclid(25)                                   # triangle breaks
+        for i, j in rng.integers(0, 25, size=(2, 2)):
+            D[i, j] = D[j, i] = D[i, j] + rng.uniform(1.0, 5.0)
+        cases.append(D)
+    diag_cases = []
+    for sign in (1.0, -1.0):    # nonzero diagonal, no off-diagonal break
+        D = euclid(35)
+        idx = rng.choice(35, size=4, replace=False)
+        D[idx, idx] = sign * 3.0 * D.max()
+        diag_cases.append(D)
+    crowded = rng.uniform(1.0, 10.0, size=(80, 80))  # over the record cap
+    crowded = crowded + crowded.T
+    np.fill_diagonal(crowded, 0.0)
+    cases += diag_cases + [crowded]
+
+    for D in diag_cases:
+        # the screen flags rows here, yet no triangle is really broken
+        slack_abs = 1e-12 * np.abs(D).max()
+        assert (D - _min_plus(D, D) > slack_abs).any()
+        assert not any(isinstance(v, TriangleViolation)
+                       for v in _per_k_scan(D)[0])
+
+    for D in cases:
+        ref, ref_total = _per_k_scan(D)
+        assert ref
+        with pytest.raises(type(ref[0])) as ei:
+            validate_metric(D)
+        err = ei.value
+        assert type(err) is type(ref[0])
+        assert [_fields(v) for v in err.violations] == \
+            [_fields(v) for v in ref]
+        assert err.total == ref_total
+    assert ref_total > _MAX_RECORDED == len(err.violations)
+
+    D = euclid(320)                                      # valid, n >= 300
+    assert _per_k_scan(D) == ([], 0)
+    assert np.array_equal(validate_metric(D).dist, D)
 
 
 def test_partition_basics():
