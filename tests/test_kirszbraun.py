@@ -146,7 +146,8 @@ def test_sequential_extension_places_at_fixed_level(monkeypatch):
     monkeypatch.setattr(kirszbraun, "_solve_extension",
                         lambda *a: solves.append(a) or optimal(*a))
     tol = 1e-7
-    for seed in range(30):
+    # 192, 591 and 810 once sent the fixed-level solve to the fallback
+    for seed in [*range(30), 192, 591, 810]:
         rng = stream(seed, "test.kirsz.level")
         m = int(rng.integers(2, 31))
         q = int(rng.integers(1, 11))
@@ -162,6 +163,23 @@ def test_sequential_extension_places_at_fixed_level(monkeypatch):
             d = np.sqrt(((S[k] - S[:k]) ** 2).sum(axis=1))
             assert _max_ratio(T[k], T[:k], d) <= M.lip * (1.0 + tol / 2)
     assert not solves
+
+
+def test_certificate_norm_closed_forms():
+    # two unit directions at angle theta: the nearest point of their hull
+    # to 0 is the midpoint, at distance cos(theta / 2)
+    for theta in (0.3, 1.0, 2.0, 3.0):
+        tgt = -np.array([[1.0, 0.0], [np.cos(theta), np.sin(theta)]])
+        got = kirszbraun._certificate_norm(np.zeros(2), tgt, np.ones(2))
+        assert got == pytest.approx(np.cos(theta / 2.0), rel=1e-12)
+    # directions whose hull contains 0
+    for units in ([[1.0], [-1.0]],
+                  [[1.0, 0.0], [-0.5, 3 ** 0.5 / 2], [-0.5, -3 ** 0.5 / 2]],
+                  np.vstack([np.eye(3), -np.ones((1, 3)) / 3 ** 0.5])):
+        tgt = -np.asarray(units)
+        d = np.ones(tgt.shape[0])
+        got = kirszbraun._certificate_norm(np.zeros(tgt.shape[1]), tgt, d)
+        assert got <= 1e-15
 
 
 def test_sequential_extension_deterministic():

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from metric_union import (AuditViolation, EmbedParams, InputDistortionError,
-                          InputError, distort_sides, embed_union,
-                          headline_bound, select_alpha, union_instance)
+                          InputError, MetricUnionError, SolverStall,
+                          build_partition, distort_sides, embed_union,
+                          headline_bound, pairwise_distances, select_alpha,
+                          stream, union_instance, validate_metric)
 
 PSI_ITEMS = ("away_upper", "home_lower", "home_upper", "cross_upper",
              "cross_lower", "g_lip")
@@ -147,3 +149,22 @@ def test_embed_union_deterministic(small):
     e2 = embed_union(X, P, small.phi_a, small.phi_b, params=params)
     np.testing.assert_array_equal(e1.full.points, e2.full.points)
     assert e1.report.expansion == e2.report.expansion
+
+
+def test_multiscale_inputs_never_stall():
+    # points scaled one by one over twelve decades embed or are refused by
+    # name; the Kirszbraun placements never stall on them
+    for seed in range(300):
+        rng = stream(seed, "fuzz.multiscale")
+        dim = int(rng.integers(1, 6))
+        n_a, n_b = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+        n = n_a + n_b
+        P = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-6, 6, (n, 1))
+        try:
+            X = validate_metric(pairwise_distances(P))
+            part = build_partition(X, np.arange(n_a), np.arange(n_a, n))
+            embed_union(X, part, P[:n_a], P[n_a:])
+        except MetricUnionError as exc:
+            # seed 80 is still refused with AuditViolation: its
+            # full.delta_lip_b entry is rounding of near-duplicate points
+            assert not isinstance(exc, SolverStall), (seed, str(exc))
