@@ -19,12 +19,14 @@ enclosing ball under power distance: an LP-type problem whose bases have
 at most k + 1 members (k the target dimension).  ``_power_center`` solves
 it exactly by Welzl's move-to-front recursion, with one small triangular
 update per basis member and no iteration cap, gap tolerance or warm
-start; a singular basis returns None, and every caller turns that into a
-named outcome.  Any feasible level certifies F(y) <= sqrt(s).
+start.  A violator that would make the basis singular can only be a
+rounding tie and is not pushed; every caller measures the result.  Any
+feasible level certifies F(y) <= sqrt(s).
 
 The optimal solve runs Newton on s from s = 0, where each tangent slope
--sum_i lam_i d_i^2 comes from the basis weights, and closes the final
-basis in the ratios themselves (``_ratio_root``).  The first-order
+-sum_i lam_i d_i^2 comes from the basis weights, closes each iterate's
+basis in the ratios themselves (``_ratio_root``) and keeps the best
+measured point.  The first-order
 certificate re-measures, at the returned y, that the unit directions
 (y - t_i)/||y - t_i|| of active constraints admit a convex combination
 with norm <= 1e-6 (equivalently 0 lies in their hull, the subdifferential
@@ -38,9 +40,9 @@ The returned y is measured against every current source and accepted when
 max_i ||y - t_i||^2 - s d_i^2 <= 0.  Every accepted image is measured
 lam-Lipschitz against all earlier points, so by Kirszbraun's theorem the
 level-lam ball intersection stays non-empty at the next step.  A positive
-measure (rounding at a tight level), a singular basis, lip = 0 and a
-snapped duplicate fall back to the optimal solver; the all-pairs gate at
-lip (1 + tol) on the final map is unchanged.
+measure (rounding at a tight level), lip = 0 and a snapped duplicate fall
+back to the optimal solver; the all-pairs gate at lip (1 + tol) on the
+final map is unchanged.
 """
 
 from dataclasses import dataclass
@@ -107,8 +109,12 @@ def _power_center(T, c):
     equal power on R.  It is built one member at a time: the offset of a
     new member from T[R[0]] is orthogonalized against the basis span, which
     leaves one equation for one new coordinate.  Recursion stops at
-    k + 1 members (k = T.shape[1]).  None when an offset keeps at most
-    1e-12 of its length outside the span: a singular basis.
+    k + 1 members (k = T.shape[1]).  A violator that would make the basis
+    singular (a Gram-Schmidt pivot at most 1e-12 of the basis scale) is
+    not pushed: in exact arithmetic an affinely dependent violator cannot
+    occur (it would be tight at the current ball), so it violates by
+    rounding only, and every caller measures the returned y against all
+    rows.
     """
     m, k = T.shape
     order = np.arange(m)
@@ -124,7 +130,10 @@ def _power_center(T, c):
         w -= a2 @ Q
         a += a2
         sig = float(np.sqrt(w @ w))
-        if not sig > 1e-12 * float(np.sqrt(e @ e)):
+        # singular: some Gram-Schmidt pivot, old or new, is at most 1e-12
+        # of the largest offset coordinate
+        scale = max(float(np.sqrt(e @ e)), np.abs(A).max(initial=0.0))
+        if not min(sig, np.diag(A).min(initial=np.inf)) > 1e-12 * scale:
             return None
         # 2 e.(y - t_0) = ||e||^2 + c_p - c_0 with y - t_0 = z @ Q
         zp = (0.5 * (float(e @ e) + c[p] - c[R[0]]) - float(a @ z)) / sig
@@ -147,21 +156,16 @@ def _power_center(T, c):
                 break
             i += int(hit[0])
             p = int(order[i])
-            ball = push(base, p)
-            if ball is not None:
-                ball = mtf(i, ball)
-            if ball is None:
-                return None
-            order[1:i + 1] = order[:i].copy()
-            order[0] = p
+            nxt = push(base, p)
+            if nxt is not None:  # else a rounding tie: p stays unpushed
+                ball = mtf(i, nxt)
+                order[1:i + 1] = order[:i].copy()
+                order[0] = p
             i += 1
         return ball
 
-    ball = mtf(m, ([], np.empty((0, k)), np.empty((0, 0)), np.empty(0),
-                   np.zeros(k), -np.inf))
-    if ball is None:
-        return None
-    R, _, A, z, y, _ = ball
+    R, _, A, z, y, _ = mtf(m, ([], np.empty((0, k)), np.empty((0, 0)),
+                               np.empty(0), np.zeros(k), -np.inf))
     mu = np.linalg.solve(A.T, z) if len(R) > 1 else np.empty(0)
     lam = np.concatenate([[1.0 - mu.sum()], mu])
     v = float((((y - T) ** 2).sum(axis=1) + c).max())
@@ -176,7 +180,7 @@ def _certificate_norm(y, tgt, d):
     hull, so ``_power_center`` with c = 0 finds the convex combination,
     independent of the weights the main solve produced.  The norm is
     measured from the clipped, renormalized weights, so it never falls
-    below the true distance; inf on a singular basis.
+    below the true distance.
     """
     diff = y - tgt
     norms = np.sqrt((diff * diff).sum(axis=1))
@@ -186,10 +190,7 @@ def _certificate_norm(y, tgt, d):
         return 0.0
     active = ratios >= F * (1.0 - 1e-7)
     units = diff[active] / norms[active][:, None]
-    got = _power_center(units, np.zeros(units.shape[0]))
-    if got is None:
-        return np.inf
-    _, _, R, lam = got
+    _, _, R, lam = _power_center(units, np.zeros(units.shape[0]))
     lam = np.maximum(lam, 0.0)
     mn = (lam @ units[R]) / lam.sum()
     return float(np.sqrt(mn @ mn))
@@ -202,8 +203,11 @@ def _ratio_root(T, d, R, y):
     drowns the small-d members in the rounding of the large ones, so this
     closes a basis found at a level to the precision of the ratios.  Starts
     from the projection of y onto aff(T[R]); steps continue while the
-    largest residual falls, and the last point reached is returned.
+    largest residual falls, and the last point reached is returned.  The
+    point is kept relative to the member with the smallest d, the one it
+    lies nearest to.
     """
+    R = sorted(R, key=lambda i: d[i])
     t0, dR = T[R[0]], d[R]
     Q = np.linalg.qr((T[R[1:]] - t0).T)[0].T
     r = Q.shape[0]
@@ -243,11 +247,12 @@ def _solve_extension(tgt, d):
     v(s) exactly with ``_power_center`` and moves to the root of the
     tangent, whose slope is -sum_i lam_i d_i^2 over the basis.  v is
     convex and decreasing, so every iterate stays at or below the root
-    s* = F(y*)^2; the loop ends once v <= 0, or once s or v stops moving.
-    The level values carry rounding of order eps s max d_i^2, so
-    ``_ratio_root`` then closes the final basis in the ratios themselves,
-    and the point of the two that measures the smaller F is kept.  A
-    singular basis before any iterate yields cert_norm = inf.
+    s* = F(y*)^2.  The level values carry rounding of order
+    eps s max d_i^2, which can hide a basis change near the root, so the
+    loop ends only once v <= 0, s stops growing, or v fails to fall on an
+    unchanged basis.  ``_ratio_root`` closes each iterate's basis in the
+    ratios themselves, and the point that measures the smallest F is
+    kept.
     """
     tgt = np.asarray(tgt, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
@@ -260,25 +265,21 @@ def _solve_extension(tgt, d):
     def ratio_max(y):
         return float((np.sqrt(((y - T) ** 2).sum(axis=1)) / d).max())
 
-    s, v_prev, last = 0.0, np.inf, None
+    s, basis, v_prev, best = 0.0, None, np.inf, None
     while True:
-        got = _power_center(T, -s * dd)
-        if got is None or not got[1] < v_prev:
+        y, v, R, lam = _power_center(T, -s * dd)
+        if set(R) == basis and not v < v_prev:
             break
-        last = got
-        y, v, R, lam = got
+        basis, v_prev = set(R), v
+        for cand in (y, _ratio_root(T, d, R, y)):
+            F = ratio_max(cand)
+            if best is None or F < best[1]:
+                best = cand, F
         slope = float(lam @ dd[R])
         if v <= 0.0 or not slope > 0.0 or not s + v / slope > s:
             break
-        s, v_prev = s + v / slope, v
-    if last is None:
-        return tgt[0].copy(), ratio_max(T[0]), np.inf
-
-    y, _, R, _ = last
-    root = _ratio_root(T, d, R, y)
-    if ratio_max(root) < ratio_max(y):
-        y = root
-    y = y + origin
+        s += v / slope
+    y = best[0] + origin
     F = float((np.sqrt(((y - tgt) ** 2).sum(axis=1)) / d).max())
     return y, F, _certificate_norm(y, tgt, d)
 
@@ -332,15 +333,12 @@ def _level_image(tgt, d, s):
     order, on targets taken relative to the nearest source's target.  The
     returned y is measured against every source in the original frame;
     None when that measure is positive (the level is infeasible, or
-    rounding at a tight level) or when the solve meets a singular basis.
+    rounding at a tight level).
     """
     order = np.argsort(d, kind="stable")
     origin = tgt[order[0]]
     dd = d * d
-    got = _power_center(tgt[order] - origin, -s * dd[order])
-    if got is None:
-        return None
-    y = got[0] + origin
+    y = _power_center(tgt[order] - origin, -s * dd[order])[0] + origin
     if float((((y - tgt) ** 2).sum(axis=1) - s * dd).max()) > 0.0:
         return None
     return y
