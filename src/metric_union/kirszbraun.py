@@ -17,17 +17,17 @@ is convex and decreasing in s, with root s* = F(y*)^2.  Any two of these
 constraints differ by an affine function of y, so v(s) is a smallest
 enclosing ball under power distance: an LP-type problem whose bases have
 at most k + 1 members (k the target dimension).  ``_power_center`` solves
-it exactly by Welzl's move-to-front recursion, with one small triangular
-update per basis member and no iteration cap, gap tolerance or warm
-start.  A violator that would make the basis singular can only be a
-rounding tie and is not pushed; every caller measures the result.  Any
-feasible level certifies F(y) <= sqrt(s).
+it exactly by Welzl's move-to-front recursion, pivoting on the worst
+violator, with one small triangular update per basis member and no
+iteration cap, gap tolerance or warm start.  A violator that would make
+the basis singular can only be a rounding tie and is not pushed; every
+caller measures the result.  Any feasible level certifies F(y) <= sqrt(s).
 
-The optimal solve runs Newton on s from s = 0, where each tangent slope
--sum_i lam_i d_i^2 comes from the basis weights, closes each iterate's
-basis in the ratios themselves (``_ratio_root``) and keeps the best
-measured point.  The first-order
-certificate re-measures, at the returned y, that the unit directions
+The optimal solve runs Newton on s from a pairwise lower bound, where
+each tangent slope -sum_i lam_i d_i^2 comes from the basis weights,
+closes each iterate's basis in the ratios themselves (``_ratio_root``)
+and keeps the best measured point.  The first-order certificate
+re-measures, at the returned y, that the unit directions
 (y - t_i)/||y - t_i|| of active constraints admit a convex combination
 with norm <= 1e-6 (equivalently 0 lies in their hull, the subdifferential
 condition for a minimizer of F).  That combination is the centre of the
@@ -35,7 +35,7 @@ smallest ball around the unit directions, found by the same solver.
 
 Sequential placement at a fixed level.  ``extend_sequential`` needs some
 image within the level lam = lip (1 + tol/2), not the optimal one.  It
-fixes s = lam^2 and makes one exact solve of v(s), nearest sources first.
+fixes s = lam^2 and makes one exact solve of v(s) over all sources.
 The returned y is measured against every current source and accepted when
 max_i ||y - t_i||^2 - s d_i^2 <= 0.  Every accepted image is measured
 lam-Lipschitz against all earlier points, so by Kirszbraun's theorem the
@@ -101,23 +101,23 @@ def _measured_lip(src, tgt):
 
 
 def _power_center(T, c):
-    """min_y max_i ||y - t_i||^2 + c_i by Welzl's move-to-front recursion.
+    """min_y max_i ||y - t_i||^2 + c_i, exactly.  Returns (y, v, R, lam).
 
-    Returns (y, v, R, lam): the minimizer y, v measured at y over every
-    row, the basis R (row indices) and barycentric weights lam with
-    y = lam @ T[R].  The ball of a basis is the point of aff(T[R]) with
-    equal power on R.  It is built one member at a time: the offset of a
-    new member from T[R[0]] is orthogonalized against the basis span, which
-    leaves one equation for one new coordinate.  Recursion stops at
-    k + 1 members (k = T.shape[1]).  A violator that would make the basis
-    singular (a Gram-Schmidt pivot at most 1e-12 of the basis scale) is
-    not pushed: in exact arithmetic an affinely dependent violator cannot
-    occur (it would be tight at the current ball), so it violates by
-    rounding only, and every caller measures the returned y against all
-    rows.
+    v is measured at y over every row; R is the basis (row indices) and
+    lam its barycentric weights, y = lam @ T[R].  Each round pivots on the
+    worst violator p (Gartner 1999), which lies on the boundary of the
+    ball of the current basis plus p, and solves that problem of at most
+    k + 2 rows (k = T.shape[1]) by Welzl's move-to-front recursion; v
+    grows strictly from round to round.  The ball of a basis is the point
+    of aff(T[R]) with equal power on R, built one member at a time: each
+    new offset from T[R[0]] is orthogonalized against the basis span,
+    leaving one equation for one new coordinate.  A violator that would
+    make the basis singular (a Gram-Schmidt pivot at most 1e-12 of the
+    basis scale) is not pushed: in exact arithmetic an affinely dependent
+    violator cannot occur, so it violates by rounding only, and every
+    caller measures the returned y against all rows.
     """
-    m, k = T.shape
-    order = np.arange(m)
+    k = T.shape[1]
 
     def push(ball, p):
         R, Q, A, z, _, _ = ball
@@ -145,27 +145,39 @@ def _power_center(T, c):
         v = float((((y - T[R]) ** 2).sum(axis=1) + c[R]).max())
         return R, Q, A2, z, y, v
 
-    def mtf(end, base):
-        # the ball of rows order[:end] with every member of base's R tight
+    def mtf(pts, end, base):
+        # the ball of rows pts[:end] with every member of base's R tight
         ball, i = base, 0
         while len(base[0]) <= k and i < end:
             y, v = ball[4], ball[5]
-            idx = order[i:end]
+            idx = pts[i:end]
             hit = np.flatnonzero(((y - T[idx]) ** 2).sum(axis=1) + c[idx] > v)
             if not hit.size:
                 break
             i += int(hit[0])
-            p = int(order[i])
+            p = int(pts[i])
             nxt = push(base, p)
             if nxt is not None:  # else a rounding tie: p stays unpushed
-                ball = mtf(i, nxt)
-                order[1:i + 1] = order[:i].copy()
-                order[0] = p
+                ball = mtf(pts, i, nxt)
+                pts[1:i + 1] = pts[:i].copy()
+                pts[0] = p
             i += 1
         return ball
 
-    R, _, A, z, y, _ = mtf(m, ([], np.empty((0, k)), np.empty((0, 0)),
-                               np.empty(0), np.zeros(k), -np.inf))
+    empty = [], np.empty((0, k)), np.empty((0, 0)), np.empty(0), None, None
+    ball = push(empty, int(np.argmax(c)))
+    while True:
+        y, v = ball[4], ball[5]
+        excess = ((y - T) ** 2).sum(axis=1) + c - v
+        p = int(np.argmax(excess))
+        if not excess[p] > 0.0:
+            break
+        R = np.array(ball[0])
+        nxt = mtf(R, R.size, push(empty, p))
+        if not nxt[5] > v:
+            break
+        ball = nxt
+    R, _, A, z, y, _ = ball
     mu = np.linalg.solve(A.T, z) if len(R) > 1 else np.empty(0)
     lam = np.concatenate([[1.0 - mu.sum()], mu])
     v = float((((y - T) ** 2).sum(axis=1) + c).max())
@@ -243,16 +255,16 @@ def _ratio_root(T, d, R, y):
 def _solve_extension(tgt, d):
     """Minimize F(y) = max ||y - t_i||/d_i.  Returns (y, F, cert_norm).
 
-    Newton on the level s from below, starting at s = 0: each step solves
-    v(s) exactly with ``_power_center`` and moves to the root of the
-    tangent, whose slope is -sum_i lam_i d_i^2 over the basis.  v is
-    convex and decreasing, so every iterate stays at or below the root
-    s* = F(y*)^2.  The level values carry rounding of order
-    eps s max d_i^2, which can hide a basis change near the root, so the
-    loop ends only once v <= 0, s stops growing, or v fails to fall on an
-    unchanged basis.  ``_ratio_root`` closes each iterate's basis in the
-    ratios themselves, and the point that measures the smallest F is
-    kept.
+    Newton on the level s from below, starting at the pairwise bounds of
+    the nearest source: each step solves v(s) exactly with
+    ``_power_center`` and moves to the root of the tangent, whose slope is
+    -sum_i lam_i d_i^2 over the basis.  v is convex and decreasing, so
+    every iterate stays at or below the root s* = F(y*)^2.  The level
+    values carry rounding of order eps s max d_i^2, which can hide a basis
+    change near the root, so the loop ends only once v <= 0, s stops
+    growing, or v fails to fall on an unchanged basis.  ``_ratio_root``
+    closes each iterate's basis in the ratios themselves, and the point
+    that measures the smallest F is kept.
     """
     tgt = np.asarray(tgt, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
@@ -265,7 +277,11 @@ def _solve_extension(tgt, d):
     def ratio_max(y):
         return float((np.sqrt(((y - T) ** 2).sum(axis=1)) / d).max())
 
-    s, basis, v_prev, best = 0.0, None, np.inf, None
+    # every pair bounds the root from below, ||t_i - t_j|| <= F* (d_i + d_j);
+    # the pairs with the nearest source start Newton near it, where bases
+    # are small
+    s = float((np.sqrt((T * T).sum(axis=1)) / (d + d.min())).max()) ** 2
+    basis, v_prev, best = None, np.inf, None
     while True:
         y, v, R, lam = _power_center(T, -s * dd)
         if set(R) == basis and not v < v_prev:
@@ -329,16 +345,14 @@ def _place_point(src, tgt, x, src_dim):
 def _level_image(tgt, d, s):
     """Some y with ||y - t_i||^2 <= s d_i^2 for every i, or None.
 
-    One exact solve of v(s), nearest sources first in the move-to-front
-    order, on targets taken relative to the nearest source's target.  The
-    returned y is measured against every source in the original frame;
-    None when that measure is positive (the level is infeasible, or
-    rounding at a tight level).
+    One exact solve of v(s), started from the nearest source, on targets
+    taken relative to its target.  The returned y is measured against
+    every source in the original frame; None when that measure is
+    positive (the level is infeasible, or rounding at a tight level).
     """
-    order = np.argsort(d, kind="stable")
-    origin = tgt[order[0]]
+    origin = tgt[int(np.argmin(d))]
     dd = d * d
-    y = _power_center(tgt[order] - origin, -s * dd[order])[0] + origin
+    y = _power_center(tgt - origin, -s * dd)[0] + origin
     if float((((y - tgt) ** 2).sum(axis=1) - s * dd).max()) > 0.0:
         return None
     return y
