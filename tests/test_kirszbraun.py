@@ -165,6 +165,20 @@ def test_sequential_extension_places_at_fixed_level(monkeypatch):
     assert not solves
 
 
+def test_extension_exact_across_scales():
+    # two tight constraints whose d lie 6 to 12 decades apart: the optimum
+    # is on their segment at F = ||t_1 - t_0|| / (d_0 + d_1), which the
+    # squared level form alone resolves only to the rounding of d_1^2
+    for tgt, d in ((np.array([[0.0], [154.33055260668237]]),
+                    np.array([1.258390931836121e-4, 114.50901786752402])),
+                   (np.array([[0.0, 0.0], [1e6, 0.0], [0.0, 3.0]]),
+                    np.array([1e-6, 7e5, 10.0]))):
+        y, F, cert = kirszbraun._solve_extension(tgt, d)
+        exact = np.linalg.norm(tgt[1] - tgt[0]) / (d[0] + d[1])
+        assert F == pytest.approx(exact, rel=1e-14)
+        assert cert <= 1e-6
+
+
 def test_certificate_norm_closed_forms():
     # two unit directions at angle theta: the nearest point of their hull
     # to 0 is the midpoint, at distance cos(theta / 2)
