@@ -7,15 +7,12 @@ broke.  Criterion 10 is checked on the real CLI: two subprocess runs of
 ``python -m metric_union.cli selftest`` must emit byte-identical reports.
 """
 
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import metric_union
 from metric_union.acceptance import (_Context, check_cover_properties,
                                      check_determinism,
                                      check_distorted_inputs,
@@ -76,15 +73,10 @@ def test_criterion_09_glue_extension(ctx):
     assert res.passed, res.detail
 
 
-def test_criterion_10_selftest_determinism(ctx, tmp_path):
+def test_criterion_10_selftest_determinism(ctx, tmp_path, src_env):
     res = check_determinism(ctx)
     assert res.passed, res.detail
 
-    # the subprocess imports the package the tests import, also when only
-    # pytest's own ``pythonpath`` setting put it on the path
-    src = str(Path(metric_union.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     runs = []
     for k in range(2):
         out = tmp_path / f"selftest{k}.json"
@@ -92,7 +84,7 @@ def test_criterion_10_selftest_determinism(ctx, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "metric_union.cli", "selftest",
              "--output", str(out)],
-            capture_output=True, env=env)
+            capture_output=True, env=src_env)
         elapsed = time.monotonic() - t0
         assert elapsed < 120.0, f"selftest took {elapsed:.1f}s"
         assert proc.returncode in (0, 2)

@@ -1,15 +1,12 @@
 """CLI behaviour: exit codes, JSON reports, determinism."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import metric_union
 from metric_union import canonical_dumps, to_jsonable, union_instance
 from metric_union.cli import main
 
@@ -214,14 +211,11 @@ def test_runtime_goes_to_stderr_only(tmp_path, capsys):
     assert "runtime" in captured.err
 
 
-def test_console_script_entry_point(tmp_path):
+def test_console_script_entry_point(tmp_path, src_env):
     path = _write(tmp_path, "m.json", {"dist": [[0, 1], [1, 0]]})
-    src = str(Path(metric_union.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "metric_union.cli"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=src_env)
     assert proc.returncode == 1                      # no subcommand
     err = json.loads(proc.stderr.splitlines()[0])
     assert "command" in err["message"]

@@ -1,23 +1,17 @@
 """The demo scripts the README advertises run to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import metric_union
-
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.mark.parametrize("script", ["embed_walkthrough.py",
                                     "lower_bound_demo.py", "glue_demo.py"])
-def test_demo_runs(script):
-    src = str(Path(metric_union.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+def test_demo_runs(script, src_env):
     proc = subprocess.run([sys.executable, str(DEMOS / script)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
