@@ -243,11 +243,13 @@ def build_partition(X: FiniteMetricSpace, idx_a, idx_b) -> UnionPartition:
 def _squared_distances(p, q=None):
     """Squared Euclidean distances between the rows of ``p`` and ``q``.
 
-    The one distance kernel; see ``pairwise_distances``.
+    The one distance kernel; see ``pairwise_distances``.  Both inputs are
+    made C-contiguous first: the difference tensor takes its layout from
+    theirs, and with it the order in which ``einsum`` sums each entry.
     """
-    p = np.asarray(getattr(p, "points", p), dtype=np.float64)
-    q = p if q is None else np.asarray(getattr(q, "points", q),
-                                       dtype=np.float64)
+    p = np.ascontiguousarray(getattr(p, "points", p), dtype=np.float64)
+    q = p if q is None else np.ascontiguousarray(getattr(q, "points", q),
+                                                 dtype=np.float64)
     rows = max(1, _BLOCK // max(q.size, 1))
     out = None
     for lo in range(0, max(p.shape[0], 1), rows):   # once even if p is empty
@@ -298,6 +300,12 @@ def pairwise_distances(p, q=None) -> np.ndarray:
     Each entry is reduced by the same expression in every block, so the
     result does not depend on the blocking, and ``pairwise_distances(p)``
     is exactly symmetric with a zero diagonal.
+
+    The result depends only on the values of the inputs, not on their
+    memory layout (C- or Fortran-ordered, strided views).  An entry
+    depends only on its two rows, not on which other rows are present, so
+    a caller that has measured a cloud may re-index that matrix for any
+    selection of its rows, repeats included, instead of measuring again.
     """
     out = _squared_distances(p, q)
     return np.sqrt(out, out=out)

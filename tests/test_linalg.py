@@ -140,6 +140,33 @@ def test_pairwise_distances_independent_of_row_blocks():
     assert np.array_equal(pairwise_distances(PointCloud(p), PointCloud(q)), R)
 
 
+def test_pairwise_distances_independent_of_memory_layout():
+    rng = stream(0, "test.pairwise_layout")
+    for shape in ((64, 63), (256, 255), (100, 7), (50, 3)):
+        p = rng.normal(size=shape)
+        D = pairwise_distances(p)
+        assert np.array_equal(pairwise_distances(np.asfortranarray(p)), D)
+        q = rng.normal(size=(9, shape[1]))
+        assert np.array_equal(
+            pairwise_distances(np.asfortranarray(p), np.asfortranarray(q)),
+            pairwise_distances(p, q))
+
+
+def test_pairwise_distances_of_rows_reindex_the_full_matrix():
+    # an MDS cloud is Fortran-ordered and its take() copies are C-ordered;
+    # an entry must not depend on either, nor on which other rows are there
+    X = validate_metric(pairwise_distances(
+        stream(2, "test.pairwise_take").normal(size=(60, 40))))
+    cloud = mds_isometric_embed(X)
+    assert not cloud.points.flags.c_contiguous
+    D = pairwise_distances(cloud)
+    rng = stream(3, "test.pairwise_take")
+    for _ in range(10):
+        i = rng.integers(0, cloud.m, size=int(rng.integers(2, cloud.m)))
+        assert np.array_equal(pairwise_distances(cloud.take(i)),
+                              D[np.ix_(i, i)])
+
+
 def test_pairwise_distances_memory_is_bounded():
     pts = stream(1, "test.pairwise_memory").normal(size=(300, 300))
     tracemalloc.start()

@@ -8,8 +8,9 @@ import pytest
 
 from metric_union import (AuditViolation, EmbedParams, InputDistortionError,
                           InputError, MetricUnionError, SolverStall,
-                          build_partition, distort_sides, embed_union,
-                          headline_bound, pairwise_distances, select_alpha,
+                          build_123_metric, build_partition, distort_sides,
+                          embed_union, headline_bound, mds_isometric_embed,
+                          pairwise_distances, sample_split, select_alpha,
                           stream, union_instance, validate_metric)
 
 PSI_ITEMS = ("away_upper", "home_lower", "home_upper", "cross_upper",
@@ -57,6 +58,16 @@ def test_headline_bound_values():
 @pytest.fixture(scope="module")
 def small():
     return union_instance(12, 10, 3, 4, seed=21)
+
+
+@pytest.fixture(scope="module")
+def split_123():
+    """The 1/2/3 space of a 64 + 64 split, with its MDS sides (which
+    come back Fortran-ordered)."""
+    X, P = build_123_metric(sample_split(64, 0))
+    phi_a = mds_isometric_embed(validate_metric(X.sub(P.idx_a)))
+    phi_b = mds_isometric_embed(validate_metric(X.sub(P.idx_b)))
+    return X, P, phi_a, phi_b
 
 
 def test_embed_union_shape_and_bounds(small):
@@ -149,6 +160,18 @@ def test_embed_union_deterministic(small):
     e2 = embed_union(X, P, small.phi_a, small.phi_b, params=params)
     np.testing.assert_array_equal(e1.full.points, e2.full.points)
     assert e1.report.expansion == e2.report.expansion
+
+
+def test_embed_union_independent_of_input_layout(small, split_123):
+    cases = [(*split_123, None),
+             (small.space, small.partition, small.phi_a, small.phi_b,
+              EmbedParams.derive(0.5, 1.0, 1.0))]
+    for X, P, phi_a, phi_b, params in cases:
+        c_out, f_out = (
+            embed_union(X, P, order(phi_a.points), order(phi_b.points),
+                        params=params).as_dict()
+            for order in (np.ascontiguousarray, np.asfortranarray))
+        assert c_out == f_out
 
 
 def test_multiscale_inputs_never_stall():
