@@ -85,12 +85,16 @@ class PartialMap:
 
 
 def _measured_lip(src, tgt):
-    m = src.shape[0]
-    if m < 2:
+    if src.shape[0] < 2:
         return 0.0
-    S = pairwise_distances(src)
-    T = pairwise_distances(tgt)
-    iu, ju = np.triu_indices(m, k=1)
+    return _lip_from(pairwise_distances(src), pairwise_distances(tgt))
+
+
+def _lip_from(S, T):
+    """Max ratio T[i, j] / S[i, j] over pairs of distinct sources, from the
+    source and target distance matrices; coinciding sources with distinct
+    targets raise InconsistentDuplicate."""
+    iu, ju = np.triu_indices(S.shape[0], k=1)
     s, t = S[iu, ju], T[iu, ju]
     dup = s == 0.0
     if np.any(dup & (t > 0.0)):

@@ -13,6 +13,13 @@ at alpha = 1/2, and below 8.93 for isometric sides at alpha = 0.3114.
 Every inequality the analysis relies on is re-measured on the produced
 coordinates and recorded as a named AuditEntry; any failing entry raises
 AuditViolation carrying the full entry list.
+
+``embed_union`` measures each side's image distance matrix once, when it
+normalizes that side, and every later check re-indexes it: the side
+checks, the partial map's Lipschitz constant, the domination entries,
+and psi's own matrix when no point is placed (every row of psi is then a
+row of phi_B).  The distance kernel's entries depend only on their two
+rows, so the audit is bit-for-bit what measuring each cloud again gives.
 """
 
 import math
@@ -22,10 +29,13 @@ import numpy as np
 
 from .cover import CoverResult, build_cover, f_lip_bound
 from .errors import AuditViolation, InputDistortionError, InputError
-from .kirszbraun import PartialMap, extend_sequential
+from .kirszbraun import PartialMap, _lip_from, extend_sequential
 from .linalg import PointCloud, direct_sum
 from .metric import (DistortionReport, FiniteMetricSpace, UnionPartition,
-                     _distortion_report, distortion_of, pairwise_distances)
+                     _distortion_report, pairwise_distances)
+# no longer called here, but kept as a module attribute: the benchmark's
+# traced run wraps union_embed.distortion_of by name (bench/spans.py)
+from .metric import distortion_of  # noqa: F401
 
 __all__ = [
     "EmbedParams", "AuditEntry", "PsiResult", "UnionEmbedding",
@@ -158,9 +168,10 @@ def _as_cloud(obj):
     return obj if isinstance(obj, PointCloud) else PointCloud(np.asarray(obj))
 
 
-def _check_side(X, idx, cloud, side, lip, rel=_AUDIT_REL):
-    """Verify a side embedding is non-contracting with Lipschitz <= lip."""
-    rep = distortion_of(X, cloud, subset=idx)
+def _check_side(X, idx, dm, side, lip, rel=_AUDIT_REL):
+    """Verify a side embedding, given its image distance matrix ``dm``, is
+    non-contracting with Lipschitz <= lip."""
+    rep = _distortion_report(X.dist[np.ix_(idx, idx)], dm, idx)
     if rep.contraction > 1.0 + rel:
         raise InputDistortionError(side, rep.contraction, 1.0,
                                    witness=rep.contraction_pair)
@@ -170,17 +181,23 @@ def _check_side(X, idx, cloud, side, lip, rel=_AUDIT_REL):
     return rep
 
 
-def _normalize_side(X, idx, cloud, side):
+def _normalize_side(X, idx, cloud):
     """Rescale a slightly contracting side embedding to non-contracting
-    form and measure its Lipschitz constant.  Returns (cloud, lip, scale).
+    form and measure its Lipschitz constant.  Returns (cloud, dist, lip,
+    scale), ``dist`` the image distance matrix of the returned cloud.
     """
-    rep = distortion_of(X, cloud, subset=idx)
+    if cloud.m != idx.size:
+        raise InputError(f"{cloud.m} image rows for {idx.size} points")
+    dx = X.dist[np.ix_(idx, idx)]
+    dm = pairwise_distances(cloud)
+    rep = _distortion_report(dx, dm, idx)
     scale = 1.0
     if rep.contraction > 1.0:
         scale = rep.contraction
         cloud = cloud.scaled(scale)
-        rep = distortion_of(X, cloud, subset=idx)
-    return cloud, max(rep.expansion, 1.0), scale
+        dm = pairwise_distances(cloud)
+        rep = _distortion_report(dx, dm, idx)
+    return cloud, dm, max(rep.expansion, 1.0), scale
 
 
 def _extreme(vals, pairs, sense):
@@ -231,13 +248,20 @@ def _raise_if_failing(entries):
 
 
 def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
-              params: EmbedParams, name: str = "psi") -> PsiResult:
+              params: EmbedParams, name: str = "psi",
+              side_dist=None) -> PsiResult:
     """Map all points into the B-side coordinate space.
 
     Side B keeps phi_b verbatim; cover points of side A take the phi_b
     image of their nearest B point; remaining A points are placed by
     sequential Lipschitz extension of that partial map.  Overlap points
     are consistent by construction (their nearest point is themselves).
+
+    ``side_dist`` is the pair (pairwise_distances(phi_a),
+    pairwise_distances(phi_b)) when the caller has measured it already;
+    when None, build_psi measures both.  The side checks and the partial
+    map's Lipschitz constant re-index these matrices, and so does psi's
+    own matrix when no A point is placed.  Results are the same either way.
 
     Audited guarantees, with lf = 2(1 + 1/alpha):
       {name}.away_upper   A-pair image ratio   <= lf * d_a * d_b
@@ -253,16 +277,25 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
         raise InputError(f"phi_a has {phi_a.m} rows for {ia.size} A-points")
     if phi_b.m != ib.size:
         raise InputError(f"phi_b has {phi_b.m} rows for {ib.size} B-points")
-    _check_side(X, ia, phi_a, "A", params.d_a)
-    _check_side(X, ib, phi_b, "B", params.d_b)
+    if side_dist is None:
+        side_dist = pairwise_distances(phi_a), pairwise_distances(phi_b)
+    da, db = side_dist
+    if da.shape != (ia.size, ia.size) or db.shape != (ib.size, ib.size):
+        raise InputError(f"side_dist has shapes {da.shape}, {db.shape} "
+                         f"for {ia.size} A-points and {ib.size} B-points")
+    _check_side(X, ia, da, "A", params.d_a)
+    _check_side(X, ib, db, "B", params.d_b)
 
     C = build_cover(X, P, params.alpha)
     row_a = {int(s): k for k, s in enumerate(ia)}
     row_b = {int(s): k for k, s in enumerate(ib)}
 
-    sources = phi_a.take([row_a[int(c)] for c in C.cover_idx])
-    targets = phi_b.take([row_b[int(t)] for t in C.nearest])
-    gmap = PartialMap(sources=sources, targets=targets)
+    ca = np.array([row_a[int(c)] for c in C.cover_idx], dtype=np.intp)
+    nb = np.array([row_b[int(t)] for t in C.nearest], dtype=np.intp)
+    sources = phi_a.take(ca)
+    targets = phi_b.take(nb)
+    gmap = PartialMap(sources=sources, targets=targets,
+                      lip=_lip_from(da[np.ix_(ca, ca)], db[np.ix_(nb, nb)]))
 
     rest = np.setdiff1d(ia, C.cover_idx)
     placed = extend_sequential(
@@ -273,9 +306,15 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     if rest.size:
         psi[rest] = placed.points
     psi[ib] = phi_b.points   # home side last: psi restricted to B is phi_b
+    if rest.size:
+        Dimg = pairwise_distances(psi)
+    else:   # every row of psi is a row of phi_b: re-index its matrix
+        rows = np.empty(X.n, dtype=np.intp)
+        rows[C.cover_idx] = nb
+        rows[ib] = np.arange(ib.size)
+        Dimg = db[np.ix_(rows, rows)]
 
     audit = _Collector()
-    Dimg = pairwise_distances(psi)
     Dx = X.dist
     lf = f_lip_bound(params.alpha)
 
@@ -349,8 +388,9 @@ def _claim_case_bound_sq(d, ra, rb, beta):
         default=delta_sq)
 
 
-def _full_audit(X, P, params, phi_a, phi_b, Dimg, psi_delta):
-    """Entries of the direct sum, from its image distance matrix Dimg."""
+def _full_audit(X, P, params, da, db, Dimg, psi_delta):
+    """Entries of the direct sum, from its image distance matrix Dimg and
+    the side image distance matrices da and db."""
     ia, ib = P.idx_a, P.idx_b
     audit = _Collector()
     Dx = X.dist
@@ -373,13 +413,11 @@ def _full_audit(X, P, params, phi_a, phi_b, Dimg, psi_delta):
 
     # the direct sum can only add to the per-side coordinate distances
     ta = np.triu_indices(ia.size, k=1)
-    da_img = pairwise_distances(phi_a)
     audit.add("full.dominates_phi_a", "lower",
-              Dimg[np.ix_(ia, ia)][ta] / da_img[ta], pa, 1.0)
+              Dimg[np.ix_(ia, ia)][ta] / da[ta], pa, 1.0)
     tb = np.triu_indices(ib.size, k=1)
-    db_img = pairwise_distances(phi_b)
     audit.add("full.dominates_phi_b", "lower",
-              Dimg[np.ix_(ib, ib)][tb] / db_img[tb], pb, 1.0)
+              Dimg[np.ix_(ib, ib)][tb] / db[tb], pb, 1.0)
 
     # one-coordinate part: Lipschitz gamma on each side, and across sides
     # exactly gamma_hat * (R_a + R_b) where gamma_hat re-derives gamma
@@ -417,19 +455,19 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     slightly (the factor is recorded), and their Lipschitz constants are
     measured rather than trusted.  When ``params`` is None, alpha comes
     from select_alpha and the remaining constants from EmbedParams.derive.
+    Each side's image distances are measured once here and passed on.
     """
     phi_a, phi_b = _as_cloud(phi_a), _as_cloud(phi_b)
-    phi_a, d_a, scale_a = _normalize_side(X, P.idx_a, phi_a, "A")
-    phi_b, d_b, scale_b = _normalize_side(X, P.idx_b, phi_b, "B")
+    phi_a, da, d_a, scale_a = _normalize_side(X, P.idx_a, phi_a)
+    phi_b, db, d_b, scale_b = _normalize_side(X, P.idx_b, phi_b)
     if params is None:
         params = EmbedParams.derive(select_alpha(d_a, d_b), d_a, d_b, tol)
-    else:
-        _check_side(X, P.idx_a, phi_a, "A", params.d_a)
-        _check_side(X, P.idx_b, phi_b, "B", params.d_b)
 
-    res_b = build_psi(X, P, phi_a, phi_b, params, name="psi_b")
+    # each build_psi checks both sides against params before building
+    res_b = build_psi(X, P, phi_a, phi_b, params, name="psi_b",
+                      side_dist=(da, db))
     res_a = build_psi(X, P.swapped(), phi_b, phi_a, params.swapped(),
-                      name="psi_a")
+                      name="psi_a", side_dist=(db, da))
 
     delta = np.zeros((X.n, 1))
     delta[P.idx_a, 0] = params.gamma * P.r_a
@@ -441,7 +479,7 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     Dimg = pairwise_distances(full)
     report = _distortion_report(X.dist, Dimg, np.arange(X.n))
     audit = (res_a.entries + res_b.entries
-             + _full_audit(X, P, params, phi_a, phi_b, Dimg, psi_delta))
+             + _full_audit(X, P, params, da, db, Dimg, psi_delta))
     _raise_if_failing(audit)
     return UnionEmbedding(psi_a=res_a.cloud, psi_b=res_b.cloud,
                           psi_delta=psi_delta, full=full, report=report,

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from metric_union import (AuditViolation, EmbedParams, InputDistortionError,
-                          InputError, MetricUnionError, SolverStall,
-                          build_123_metric, build_partition, distort_sides,
-                          embed_union, headline_bound, mds_isometric_embed,
+                          InputError, MetricUnionError, PartialMap,
+                          SolverStall, build_123_metric, build_partition,
+                          build_psi, distort_sides, embed_union,
+                          headline_bound, mds_isometric_embed,
                           pairwise_distances, sample_split, select_alpha,
                           stream, union_instance, validate_metric)
+from metric_union import metric
 
 PSI_ITEMS = ("away_upper", "home_lower", "home_upper", "cross_upper",
              "cross_lower", "g_lip")
@@ -172,6 +174,91 @@ def test_embed_union_independent_of_input_layout(small, split_123):
                         params=params).as_dict()
             for order in (np.ascontiguousarray, np.asfortranarray))
         assert c_out == f_out
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = metric._squared_distances
+
+    def counted(*args):
+        calls.append(len(args))
+        return kernel(*args)
+
+    monkeypatch.setattr(metric, "_squared_distances", counted)
+    return calls
+
+
+def test_embed_union_measures_each_side_once(monkeypatch, split_123):
+    # per side one measurement (two when it is rescaled), per build_psi
+    # the extension's final gate on sources and targets (and psi itself
+    # when a point is placed), and the direct sum: 9 calls, not 21
+    inst = union_instance(30, 25, 3, 4, seed=1)
+    cases = [(*split_123, None),
+             (inst.space, inst.partition, inst.phi_a, inst.phi_b,
+              EmbedParams.derive(0.5, 1, 1))]
+    calls = _count_kernel_calls(monkeypatch)
+    for X, P, phi_a, phi_b, params in cases:
+        calls.clear()
+        embed_union(X, P, phi_a, phi_b, params=params)
+        assert 0 < len(calls) <= 9
+
+
+def _spread_pairs(n, dim, seed):
+    """Side A spread far apart with one B point just off each A point:
+    every A point is a cover point, so build_psi places none."""
+    rng = stream(seed, "test.spread_pairs")
+    a = 10.0 * rng.normal(size=(n, dim))
+    b = a + 0.1 * rng.normal(size=a.shape)
+    X = validate_metric(pairwise_distances(np.vstack([a, b])))
+    return X, build_partition(X, np.arange(n), np.arange(n, 2 * n)), a, b
+
+
+def test_build_psi_side_dist_parity(split_123):
+    inst = union_instance(30, 25, 3, 4, seed=1)
+    iso = EmbedParams.derive(select_alpha(1.0, 1.0), 1.0, 1.0)
+    cases = [(inst.space, inst.partition, inst.phi_a, inst.phi_b,
+              EmbedParams.derive(0.5, 1.0, 1.0)),
+             (*split_123, iso),
+             (*_spread_pairs(20, 3, 0), iso)]
+    placed = []
+    for X, P, phi_a, phi_b, params in cases:
+        side_dist = pairwise_distances(phi_a), pairwise_distances(phi_b)
+        own, given = (build_psi(X, P, phi_a, phi_b, params, side_dist=sd)
+                      for sd in (None, side_dist))
+        np.testing.assert_array_equal(own.cloud.points, given.cloud.points)
+        assert ([e.as_dict() for e in own.entries]
+                == [e.as_dict() for e in given.entries])
+        # re-indexed matrices give what measuring the clouds again gives
+        assert given.gmap.lip == PartialMap(given.gmap.sources,
+                                            given.gmap.targets).lip
+        ratio = pairwise_distances(given.cloud) / np.where(
+            X.dist > 0.0, X.dist, np.inf)
+        ia, ib = P.idx_a, P.idx_b
+        same_a, same_b = (idx[np.array(np.triu_indices(idx.size, k=1))]
+                          for idx in (ia, ib))
+        cross = np.array(np.meshgrid(ia, ib)).reshape(2, -1)
+        by_name = {e.name: e for e in given.entries}
+        for item, (i, j), extreme in (("away_upper", same_a, np.max),
+                                      ("home_lower", same_b, np.min),
+                                      ("home_upper", same_b, np.max),
+                                      ("cross_upper", cross, np.max)):
+            e = by_name[f"psi.{item}"]
+            assert e.measured == extreme(ratio[i, j]) == ratio[e.witness]
+        placed.append(P.idx_a.size - given.cover.cover_idx.size)
+    # only the first instance places points; on the others psi's matrix
+    # re-indexes phi_b's
+    assert placed[0] > 0 and placed[1:] == [0, 0]
+
+
+def test_mismatched_side_shapes_rejected(small):
+    X, P = small.space, small.partition
+    with pytest.raises(InputError):
+        build_psi(X, P, small.phi_a, small.phi_b,
+                  EmbedParams.derive(0.5, 1.0, 1.0),
+                  side_dist=(pairwise_distances(small.phi_b),
+                             pairwise_distances(small.phi_a)))
+    with pytest.raises(InputError):
+        embed_union(X, P, small.phi_b, small.phi_a)
 
 
 def test_multiscale_inputs_never_stall():
