@@ -181,7 +181,7 @@ def _count_kernel_calls(monkeypatch):
     kernel = metric._squared_distances
 
     def counted(*args):
-        calls.append(len(args))
+        calls.append(args)
         return kernel(*args)
 
     monkeypatch.setattr(metric, "_squared_distances", counted)
