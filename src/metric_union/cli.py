@@ -13,19 +13,19 @@ import argparse
 import sys
 import time
 
-from .cover import build_cover, certify_f_lipschitz, verify_cover
+from .cover import build_cover
 from .errors import (AuditViolation, CollapsedPairError, CoverageError,
                      EmptySideError, InconsistentDuplicate,
                      InputDistortionError, InputError, LengthMismatchError,
                      MetricUnionError, MetricValidationError, NotEuclidean)
 from .jsonio import (canonical_dumps, load_json, parse_cloud, parse_glue,
                      parse_partition, parse_space, to_jsonable)
-from .glue import external_extend, glued_metric
+from .glue import external_extend
 from .linalg import mds_best_effort, mds_isometric_embed
 from .lower_bound import (build_123_metric, certified_lower_bound,
                           choose_n_for_epsilon, ratio_check, sample_split)
 from .metric import distortion_of, validate_metric
-from .union_embed import EmbedParams, embed_union
+from .union_embed import EmbedParams, _normalize_side, embed_union
 
 __all__ = ["main"]
 
@@ -104,8 +104,9 @@ def cmd_embed(args):
 
     params = None
     if alpha is not None:
-        d_a = max(1.0, distortion_of(X, phi_a, subset=P.idx_a).distortion)
-        d_b = max(1.0, distortion_of(X, phi_b, subset=P.idx_b).distortion)
+        # each side's Lipschitz constant as embed_union will measure it
+        d_a = _normalize_side(X, P.idx_a, phi_a)[2]
+        d_b = _normalize_side(X, P.idx_b, phi_b)[2]
         params = EmbedParams.derive(float(alpha), d_a, d_b, args.tol)
 
     emb = embed_union(X, P, phi_a, phi_b, params=params, tol=args.tol)
@@ -124,9 +125,7 @@ def cmd_cover(args):
     obj = load_json(args.input)
     X, P = _load_space_partition(obj)
     alpha = args.alpha if args.alpha is not None else obj.get("alpha", 0.5)
-    C = build_cover(X, P, float(alpha))
-    verify_cover(X, P, C)
-    certify_f_lipschitz(X, P, C)
+    C = build_cover(X, P, float(alpha))   # verifies the cover and lip_f
     return {
         "alpha": C.alpha,
         "cover_idx": C.cover_idx,
@@ -180,11 +179,10 @@ def cmd_lowerbound(args):
 
 def cmd_glue(args):
     G = parse_glue(load_json(args.input))
-    X, _ = glued_metric(G)
     ext = external_extend(G, tol=args.tol)
     return {
         "glued": {
-            "n": X.n,
+            "n": ext.embedding.full.m,
             "n_u": G.u_points.m,
             "n_v": G.v_points.m,
             "n_pairs": int(G.n_pairs),

@@ -298,13 +298,12 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
                       lip=_lip_from(da[np.ix_(ca, ca)], db[np.ix_(nb, nb)]))
 
     rest = np.setdiff1d(ia, C.cover_idx)
-    placed = extend_sequential(
-        gmap, phi_a.take([row_a[int(s)] for s in rest]), params.tol)
-
     psi = np.zeros((X.n, phi_b.dim))
     psi[C.cover_idx] = targets.points
     if rest.size:
-        psi[rest] = placed.points
+        psi[rest] = extend_sequential(
+            gmap, phi_a.take([row_a[int(s)] for s in rest]),
+            params.tol).points
     psi[ib] = phi_b.points   # home side last: psi restricted to B is phi_b
     if rest.size:
         Dimg = pairwise_distances(psi)

@@ -7,7 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from metric_union import canonical_dumps, to_jsonable, union_instance
+import metric_union.glue as glue
+from metric_union import (canonical_dumps, external_extend, glued_metric,
+                          load_json, parse_glue, sample_glue_instance,
+                          to_jsonable, union_instance)
 from metric_union.cli import main
 
 
@@ -83,6 +86,21 @@ def test_embed_alpha_flag(tmp_path, capsys, embed_input):
     rep = json.loads(capsys.readouterr().out)
     assert rep["params"]["alpha"] == 0.5
     assert rep["params"]["beta"] == 1.5 * 3.0
+    # a side that expands by 2 and never contracts has distortion 1 but
+    # Lipschitz constant 2, which is what --alpha must pass on as d_a
+    inst = union_instance(8, 9, 2, 3, seed=33)
+    path = _write(tmp_path, "scaled.json", {
+        "space": {"dist": inst.space.dist},
+        "partition": {"a": inst.partition.idx_a, "b": inst.partition.idx_b},
+        "phi_a": {"points": 2.0 * inst.phi_a.points},
+        "phi_b": {"points": inst.phi_b.points},
+    })
+    assert main(["embed", "--input", path, "--alpha", "0.5"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["params"]["d_a"] == pytest.approx(2.0, rel=1e-12)
+    assert rep["params"]["d_b"] == 1.0
+    assert rep["scale_a"] == 1.0
+    assert all(e["ok"] for e in rep["audit"])
 
 
 def test_embed_deterministic_bytes(tmp_path, embed_input):
@@ -164,6 +182,39 @@ def test_glue_command(tmp_path, capsys):
     assert rep["distortions"]["distortion_f1"] <= rep["distortions"]["bound"]
     assert len(rep["f1"]["points"]) == 3
     assert all(e["ok"] for e in rep["audit"])
+
+
+def test_glue_builds_the_glued_space_once(tmp_path, capsys, monkeypatch):
+    S = sample_glue_instance(4, 3, 3, 2, 2, seed=9)
+    path = _write(tmp_path, "glue9.json", {
+        "u_points": {"points": S.u_points.points},
+        "v_points": {"points": S.v_points.points},
+        "a_idx": S.a_idx, "b_idx": S.b_idx, "pairing": S.pairing,
+    })
+    # the report with the glued space built on its own, as well as inside
+    # the extension
+    G = parse_glue(load_json(path))
+    ext = external_extend(G)
+    expected = canonical_dumps({
+        "glued": {"n": glued_metric(G)[0].n, "n_u": G.u_points.m,
+                  "n_v": G.v_points.m, "n_pairs": int(G.n_pairs),
+                  "d_f": G.d_f, "v_scale": G.v_scale},
+        "f1": {"dim": ext.f1.dim, "points": ext.f1.points},
+        "f2": {"dim": ext.f2.dim, "points": ext.f2.points},
+        "distortions": ext.as_dict(),
+        "audit": [e.as_dict() for e in ext.embedding.audit],
+    })
+    calls = []
+    validate = glue.validate_metric
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(glue, "validate_metric", counted)
+    assert main(["glue", "--input", path]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == expected
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -6,12 +6,13 @@ import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse import csr_matrix
 
+import metric_union.lower_bound as lower_bound
 from metric_union import (DuplicateEdge, InputError, RangeViolation,
-                          RetryBudgetExceeded, SelfLoop, build_123_metric,
-                          certified_lower_bound, choose_n_for_epsilon,
-                          distortion_of, laplacian, mds_best_effort,
-                          measure_delta, ratio_check, sample_split,
-                          sandwich_margin, stream)
+                          RetryBudgetExceeded, SelfLoop, SingularPencil,
+                          build_123_metric, certified_lower_bound,
+                          choose_n_for_epsilon, distortion_of, laplacian,
+                          mds_best_effort, measure_delta, ratio_check,
+                          sample_split, sandwich_margin, stream)
 
 
 def _oracle_delta(L, L1, L2):
@@ -91,10 +92,28 @@ def test_laplacian_rejects_bad_edges():
 
 
 def test_measure_delta_matches_generalized_eig_oracle():
-    for mask in _raw_masks(8, seed=4, count=4):
-        L, L1, L2, _, _ = _mask_laplacians(mask)
-        ours = measure_delta(L, L1, L2)
-        assert ours == pytest.approx(_oracle_delta(L, L1, L2), abs=1e-9)
+    for n in (8, 32):
+        for mask in _raw_masks(n, seed=4, count=4):
+            L, L1, L2, _, _ = _mask_laplacians(mask)
+            ours = measure_delta(mask)
+            assert ours == pytest.approx(_oracle_delta(L, L1, L2), abs=1e-9)
+
+
+def test_measure_delta_disconnected_class_is_singular():
+    # an isolated vertex in e1 is a full row or column of e2, and the
+    # complementary mask swaps the roles
+    for n in (8, 16, 32):
+        for k, mask in enumerate(_raw_masks(n, seed=5, count=6)):
+            if k % 2:
+                mask[k % n, :] = False
+            else:
+                mask[:, k % n] = False
+            for m, which in ((mask, "e1"), (~mask, "e2")):
+                with pytest.raises(SingularPencil) as info:
+                    measure_delta(m)
+                assert info.value.which == which
+    with pytest.raises(InputError):
+        measure_delta(np.ones((3, 4), dtype=bool))
 
 
 def test_sandwich_margin_sign():
@@ -117,12 +136,35 @@ def _split_mask(split):
 def test_sample_split_certificate_recomputes():
     split = sample_split(64, seed=2)
     assert split.attempts >= 1
-    L, L1, L2, e1, e2 = _mask_laplacians(_split_mask(split))
+    mask = _split_mask(split)
+    _, _, _, e1, e2 = _mask_laplacians(mask)
     np.testing.assert_array_equal(e1, split.e1)
-    assert split.delta_star == measure_delta(L, L1, L2) + 1e-9
+    np.testing.assert_array_equal(e2, split.e2)
+    assert split.delta_star == measure_delta(mask) + 1e-9
     assert certified_lower_bound(split) == 3.0 / (1.0 + split.delta_star) ** 2
     # every cross pair appears in exactly one edge class
     assert split.e1.shape[0] + split.e2.shape[0] == split.n ** 2
+
+
+def test_sample_split_measures_each_attempt_once(monkeypatch):
+    # the traced bench counts lower_bound.measure_delta by this name
+    calls = []
+    inner = lower_bound.measure_delta
+
+    def counting(mask):
+        calls.append(mask.shape)
+        return inner(mask)
+
+    monkeypatch.setattr(lower_bound, "measure_delta", counting)
+    for n, seed in ((64, 0), (64, 1), (64, 2), (32, 3)):
+        calls.clear()
+        split = sample_split(n, seed)
+        assert len(calls) == split.attempts
+    assert split.attempts > 1
+    calls.clear()
+    with pytest.raises(RetryBudgetExceeded) as info:
+        sample_split(16, seed=0)
+    assert len(calls) == info.value.attempts == 64
 
 
 def test_sample_split_small_n_exhausts_budget():
@@ -138,8 +180,7 @@ def test_raw_delta_shrinks_with_n():
     for n in (16, 64):
         vals = []
         for mask in _raw_masks(n, seed=6, count=3):
-            L, L1, L2, _, _ = _mask_laplacians(mask)
-            vals.append(measure_delta(L, L1, L2))
+            vals.append(measure_delta(mask))
         meds.append(sorted(vals)[1])
     assert meds[1] < meds[0]
 
