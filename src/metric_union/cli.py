@@ -10,6 +10,7 @@ during the run (for audit failures the report is still written).
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -47,6 +48,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_or_text(value):
+    """A jsonable structure with each non-finite float written as "inf",
+    "-inf" or "nan": error output must serialize whatever the failure."""
+    if isinstance(value, dict):
+        return {k: _finite_or_text(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_text(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
 def _error_payload(exc):
     data = {"error": type(exc).__name__, "message": str(exc)}
     witness = {}
@@ -62,7 +75,7 @@ def _error_payload(exc):
             witness[key] = repr(val)
     if witness:
         data["witness"] = witness
-    return data
+    return _finite_or_text(data)
 
 
 def _write_report(obj, output):
@@ -263,9 +276,9 @@ def main(argv=None) -> int:
         code = 1
     except AuditViolation as exc:
         if exc.entries is not None and getattr(args, "output", None):
-            _write_report({"audit": [e.as_dict() for e in exc.entries],
-                           "error": _error_payload(exc)},
-                          args.output)
+            _write_report(_finite_or_text(to_jsonable(
+                {"audit": [e.as_dict() for e in exc.entries],
+                 "error": _error_payload(exc)})), args.output)
         sys.stderr.write(canonical_dumps(_error_payload(exc)))
         code = 2
     except MetricUnionError as exc:

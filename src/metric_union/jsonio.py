@@ -103,12 +103,16 @@ def _require(obj, key, where):
 
 
 def _matrix(value, where):
+    """A JSON list of numeric rows -> float matrix; JSON booleans are not
+    numbers here, as they are not indices in ``_integer``."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         raise InputError(f"{where} must be a numeric matrix") from None
     if arr.ndim != 2:
         raise InputError(f"{where} must be two-dimensional")
+    if any(bool in set(map(type, row)) for row in value):
+        raise InputError(f"{where} must be a numeric matrix")
     return arr
 
 

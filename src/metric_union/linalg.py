@@ -5,10 +5,12 @@ must be symmetric, outputs are re-verified against reconstruction and
 orthonormality residuals before anything downstream consumes them.
 """
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metric
 from .errors import (ConvergenceError, InputError, LengthMismatchError,
                      NotEuclidean, NotSymmetricError)
 from .metric import FiniteMetricSpace, _readonly, pairwise_distances
@@ -21,9 +23,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable (m, dim) array of points in Euclidean space."""
+    """Immutable (m, dim) array of points in Euclidean space.
+
+    ``sq_dist`` is None or the read-only (m, m) squared-distance matrix,
+    the raw output of one distance-kernel call on ``points``.  Only the
+    library fills it, and only on clouds it builds and measures anyway:
+    the result of ``mds_isometric_embed``, the side clouds ``embed_union``
+    normalizes (private copies) and ``embed_union``'s ``full``.  A cloud
+    is never written after it is built, so a caller's cloud never gains
+    one.  ``pairwise_distances``, ``distortion_of`` and ``ratio_check``
+    read it instead of measuring again; ``take`` and ``scaled`` return
+    clouds without one.
+    """
 
     points: np.ndarray
+    sq_dist: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -47,6 +62,18 @@ class PointCloud:
 
     def scaled(self, factor):
         return PointCloud(self.points * float(factor))
+
+
+def _measured(cloud):
+    """A copy of ``cloud`` that carries its squared distances, measured by
+    one kernel call unless ``cloud`` carries them already.  The copy
+    shares the read-only points; ``cloud`` itself is not written."""
+    out = copy.copy(cloud)
+    if out.sq_dist is None:
+        sq = metric._squared_distances(cloud.points)
+        sq.setflags(write=False)
+        object.__setattr__(out, "sq_dist", sq)
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,7 +133,8 @@ def mds_isometric_embed(X: FiniteMetricSpace, tol=1e-9) -> PointCloud:
     Only succeeds when the metric is Euclidean-realizable: the centered
     Gram matrix must be positive semidefinite up to ``tol`` (relative to
     its top eigenvalue), and the realized pairwise distances must match
-    the input to 1e-8 relative.  Raises NotEuclidean otherwise.
+    the input to 1e-8 relative.  Raises NotEuclidean otherwise.  The
+    result carries the squared distances that check measured.
     """
     D = X.dist
     n = X.n
@@ -119,12 +147,12 @@ def mds_isometric_embed(X: FiniteMetricSpace, tol=1e-9) -> PointCloud:
     if lam_min < -max(thresh, 1e-300):
         raise NotEuclidean(lam_min)
     keep = eig.values > thresh
-    coords = eig.vectors[:, keep] * np.sqrt(eig.values[keep])
-    realized = pairwise_distances(coords)
-    err = float(np.abs(realized - D).max())
+    cloud = _measured(PointCloud(eig.vectors[:, keep]
+                                 * np.sqrt(eig.values[keep])))
+    err = float(np.abs(pairwise_distances(cloud) - D).max())
     if err > 1e-8 * max(float(D.max()), 1e-300):
         raise NotEuclidean(lam_min)
-    return PointCloud(coords)
+    return cloud
 
 
 def mds_best_effort(X: FiniteMetricSpace) -> PointCloud:

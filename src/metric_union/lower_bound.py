@@ -19,9 +19,10 @@ import numpy as np
 
 from .errors import (DuplicateEdge, InputError, RangeViolation,
                      RetryBudgetExceeded, SelfLoop, SingularPencil)
+from . import metric
 from .linalg import sym_eigen
 from .metric import (FiniteMetricSpace, UnionPartition, _readonly,
-                     _squared_distances, build_partition, validate_metric)
+                     build_partition, validate_metric)
 from .seeds import stream
 
 __all__ = [
@@ -198,14 +199,21 @@ def ratio_check(split: BipartiteSplit, images) -> tuple:
 
     Both ratios must land in [(1+delta*)^-2, (1+delta*)^2]; a value
     outside (beyond round-off) would contradict the sandwich and raises
-    RangeViolation.
+    RangeViolation.  A cloud's carried ``sq_dist`` supplies the cross
+    block when present.
     """
     pts = np.asarray(getattr(images, "points", images), dtype=np.float64)
     if pts.shape[0] != 2 * split.n:
         raise InputError(f"{pts.shape[0]} image rows for {2 * split.n} "
                          f"vertices")
     n = split.n
-    cross = _squared_distances(pts[:n], pts[n:])   # every A-B pair
+    sq = getattr(images, "sq_dist", None)
+    if sq is None:
+        cross = metric._squared_distances(pts[:n], pts[n:])  # every A-B pair
+    else:
+        # contiguous like the kernel's own result, so the means below sum
+        # in the same order
+        cross = np.ascontiguousarray(sq[:n, n:])
     mean_all = float(cross.mean())
     if mean_all == 0.0:
         raise InputError("all cross images coincide; ratios are undefined")

@@ -23,6 +23,10 @@ __all__ = [
 
 _MAX_RECORDED = 10_000  # cap on stored violations for pathological inputs
 _BLOCK = 1 << 20        # float64 elements in one row block's difference tensor
+# least rows per block of validate_metric's triangle screen: each block
+# costs one pass over k, so n < 256 takes one block; larger ones lose the
+# cache
+_SCREEN_ROWS = 128
 
 
 def _readonly(a):
@@ -123,14 +127,23 @@ def validate_metric(dist, labels=None, tol=1e-12) -> FiniteMetricSpace:
         Relative slack for the triangle inequality; d(i,j) may exceed
         d(i,k) + d(k,j) by at most tol * max(dist).
 
-    The triangle check first screens every row against the min-plus
-    square min_k (d(i,k) + d(k,j)), computed in blocks whose sum tensor
-    holds at most n * n and at most 2**20 float64 elements (8 MB), so
-    memory beyond a few (n, n) matrices does not grow with n.  Only the
-    rows the screen flags are then scanned k by k for witnesses.  The
-    screen misses no violation, so the recorded violations, their order
-    and their count are those of a full scan, and a valid metric is never
-    scanned k by k.
+    The triangle check first screens the excess
+    e(i, j) = d(i, j) - min_k (d(i, k) + d(k, j)) of each unordered pair
+    once.  Rows are taken in equal blocks of 128 to 255 rows (one block
+    when n < 256); block [lo, hi) runs the min-plus kernel against
+    columns lo..n-1 only, its part of the upper triangle, and an entry
+    over the slack flags both its row and its column.  That is exact: on
+    a symmetric matrix e(i, j) = e(j, i) bit for bit, because
+    fl(a + b) = fl(b + a) and min is exact.  A matrix that is not
+    symmetric (an error already) screens its transpose too, whose upper
+    triangle holds the excesses below D's diagonal, and flags rows from
+    D's screen and columns from the transpose's, so every ordered pair is
+    still screened.  Each block holds a few (rows, n) arrays and a sum
+    tensor no larger than one of them, so memory beyond D grows as n, not
+    n * n.  Only the rows the screen flags are then scanned k by k for
+    witnesses.  The screen misses no violation, so the recorded
+    violations, their order and their count are those of a full scan,
+    and a valid metric is never scanned k by k.
 
     Raises
     ------
@@ -165,7 +178,8 @@ def validate_metric(dist, labels=None, tol=1e-12) -> FiniteMetricSpace:
             violations.append(v)
 
     gap = D - D.T
-    if np.any(gap != 0.0):
+    symmetric = not np.any(gap != 0.0)
+    if not symmetric:
         for i, j in np.argwhere(gap != 0.0):
             if i < j:
                 record(AsymmetryError(int(i), int(j), float(abs(gap[i, j]))))
@@ -188,7 +202,10 @@ def validate_metric(dist, labels=None, tol=1e-12) -> FiniteMetricSpace:
     # Screen: max_k of the excess D[i, j] - (D[i, k] + D[k, j]) is
     # D[i, j] - min_k (D[i, k] + D[k, j]), because rounding is monotone and
     # min is exact, so a row with no flagged entry holds no violation.
-    rows = np.nonzero((D - _min_plus(D, D) > slack_abs).any(axis=1))[0]
+    rows, cols = _upper_screen(D, slack_abs)
+    if not symmetric:
+        cols = _upper_screen(np.ascontiguousarray(D.T), slack_abs)[1]
+    rows = np.nonzero(rows | cols)[0]
     if rows.size:
         Dr = D[rows]
         for k in range(n):
@@ -290,6 +307,22 @@ def _min_plus(a, b):
     return out
 
 
+def _upper_screen(D, slack_abs):
+    """Flags of the upper triangle's screened entries: ``rows[i]`` when
+    some j >= i, and ``cols[j]`` when some i <= j, has
+    D[i, j] - min_k (D[i, k] + D[k, j]) > slack_abs."""
+    n = D.shape[0]
+    rows = np.zeros(n, dtype=bool)
+    cols = np.zeros(n, dtype=bool)
+    step = -(-n // max(1, n // _SCREEN_ROWS))   # n // 128 near-equal blocks
+    for lo in range(0, n, step):
+        hi = lo + step
+        bad = D[lo:hi, lo:] - _min_plus(D[lo:hi], D[:, lo:]) > slack_abs
+        rows[lo:hi] |= bad.any(axis=1)
+        cols[lo:] |= bad.any(axis=0)
+    return rows, cols
+
+
 def pairwise_distances(p, q=None) -> np.ndarray:
     """Euclidean distances between the rows of ``p`` and ``q`` (default p).
 
@@ -306,7 +339,14 @@ def pairwise_distances(p, q=None) -> np.ndarray:
     depends only on its two rows, not on which other rows are present, so
     a caller that has measured a cloud may re-index that matrix for any
     selection of its rows, repeats included, instead of measuring again.
+
+    ``pairwise_distances(cloud)`` of a cloud that carries ``sq_dist``
+    (see ``PointCloud``) takes the root of that matrix, bit for bit what
+    measuring again gives, and calls no kernel.
     """
+    sq = getattr(p, "sq_dist", None) if q is None else None
+    if sq is not None:
+        return np.sqrt(sq)
     out = _squared_distances(p, q)
     return np.sqrt(out, out=out)
 
@@ -315,18 +355,18 @@ def distortion_of(X: FiniteMetricSpace, images, subset=None) -> DistortionReport
     """Distortion of the map point -> image over ``subset`` (default: all).
 
     ``images`` is a point cloud (or bare (m, dim) array) with one row per
-    subset element, in subset order.  Raises CollapsedPairError if two
-    distinct points share an image.
+    subset element, in subset order; a cloud's carried ``sq_dist`` is
+    used when present.  Raises CollapsedPairError if two distinct points
+    share an image.
     """
-    pts = np.asarray(getattr(images, "points", images), dtype=np.float64)
+    m = np.shape(getattr(images, "points", images))[0]
     if subset is None:
         subset = np.arange(X.n)
     subset = np.asarray(subset, dtype=np.intp)
-    if pts.shape[0] != subset.size:
-        raise InputError(
-            f"{pts.shape[0]} image rows for {subset.size} points")
+    if m != subset.size:
+        raise InputError(f"{m} image rows for {subset.size} points")
     return _distortion_report(X.dist[np.ix_(subset, subset)],
-                              pairwise_distances(pts), subset)
+                              pairwise_distances(images), subset)
 
 
 def _distortion_report(dm, de, subset):

@@ -14,12 +14,16 @@ Every inequality the analysis relies on is re-measured on the produced
 coordinates and recorded as a named AuditEntry; any failing entry raises
 AuditViolation carrying the full entry list.
 
-``embed_union`` measures each side's image distance matrix once, when it
-normalizes that side, and every later check re-indexes it: the side
-checks, the partial map's Lipschitz constant, the domination entries,
-and psi's own matrix when no point is placed (every row of psi is then a
-row of phi_B).  The distance kernel's entries depend only on their two
-rows, so the audit is bit-for-bit what measuring each cloud again gives.
+``embed_union`` measures each side's image distances at most once, when
+it normalizes that side (not at all when the side cloud already carries
+them, as ``mds_isometric_embed``'s result does), and the normalized side
+clouds carry them on: the side checks, the partial map's Lipschitz
+constant, the domination entries, and psi's own matrix when no point is
+placed (every row of psi is then a row of phi_B) re-index them.  The
+returned ``full`` carries the squared distances its audit measured, for
+``distortion_of`` and ``ratio_check`` to reuse.  The distance kernel's
+entries depend only on their two rows, so the audit is bit-for-bit what
+measuring each cloud again gives.
 """
 
 import math
@@ -30,7 +34,7 @@ import numpy as np
 from .cover import CoverResult, build_cover, f_lip_bound
 from .errors import AuditViolation, InputDistortionError, InputError
 from .kirszbraun import PartialMap, _lip_from, extend_sequential
-from .linalg import PointCloud, direct_sum
+from .linalg import PointCloud, _measured, direct_sum
 from .metric import (DistortionReport, FiniteMetricSpace, UnionPartition,
                      _distortion_report, pairwise_distances)
 # no longer called here, but kept as a module attribute: the benchmark's
@@ -184,20 +188,24 @@ def _check_side(X, idx, dm, side, lip, rel=_AUDIT_REL):
 def _normalize_side(X, idx, cloud):
     """Rescale a slightly contracting side embedding to non-contracting
     form and measure its Lipschitz constant.  Returns (cloud, dist, lip,
-    scale), ``dist`` the image distance matrix of the returned cloud.
+    scale): ``cloud`` a private copy, rescaled when needed, that carries
+    its squared distances, and ``dist`` its image distance matrix.  The
+    caller's cloud is measured only when it carries no matrix, and is
+    never written.
     """
     if cloud.m != idx.size:
         raise InputError(f"{cloud.m} image rows for {idx.size} points")
     dx = X.dist[np.ix_(idx, idx)]
-    dm = pairwise_distances(cloud)
+    side = _measured(cloud)
+    dm = pairwise_distances(side)
     rep = _distortion_report(dx, dm, idx)
     scale = 1.0
     if rep.contraction > 1.0:
         scale = rep.contraction
-        cloud = cloud.scaled(scale)
-        dm = pairwise_distances(cloud)
+        side = _measured(cloud.scaled(scale))
+        dm = pairwise_distances(side)
         rep = _distortion_report(dx, dm, idx)
-    return cloud, dm, max(rep.expansion, 1.0), scale
+    return side, dm, max(rep.expansion, 1.0), scale
 
 
 def _extreme(vals, pairs, sense):
@@ -248,8 +256,7 @@ def _raise_if_failing(entries):
 
 
 def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
-              params: EmbedParams, name: str = "psi",
-              side_dist=None) -> PsiResult:
+              params: EmbedParams, name: str = "psi") -> PsiResult:
     """Map all points into the B-side coordinate space.
 
     Side B keeps phi_b verbatim; cover points of side A take the phi_b
@@ -257,11 +264,10 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     sequential Lipschitz extension of that partial map.  Overlap points
     are consistent by construction (their nearest point is themselves).
 
-    ``side_dist`` is the pair (pairwise_distances(phi_a),
-    pairwise_distances(phi_b)) when the caller has measured it already;
-    when None, build_psi measures both.  The side checks and the partial
-    map's Lipschitz constant re-index these matrices, and so does psi's
-    own matrix when no A point is placed.  Results are the same either way.
+    Each side's image distances come from ``pairwise_distances``, which
+    reuses a side cloud's carried ``sq_dist``.  The side checks and the
+    partial map's Lipschitz constant re-index these matrices, and so does
+    psi's own matrix when no A point is placed.
 
     Audited guarantees, with lf = 2(1 + 1/alpha):
       {name}.away_upper   A-pair image ratio   <= lf * d_a * d_b
@@ -277,12 +283,7 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
         raise InputError(f"phi_a has {phi_a.m} rows for {ia.size} A-points")
     if phi_b.m != ib.size:
         raise InputError(f"phi_b has {phi_b.m} rows for {ib.size} B-points")
-    if side_dist is None:
-        side_dist = pairwise_distances(phi_a), pairwise_distances(phi_b)
-    da, db = side_dist
-    if da.shape != (ia.size, ia.size) or db.shape != (ib.size, ib.size):
-        raise InputError(f"side_dist has shapes {da.shape}, {db.shape} "
-                         f"for {ia.size} A-points and {ib.size} B-points")
+    da, db = pairwise_distances(phi_a), pairwise_distances(phi_b)
     _check_side(X, ia, da, "A", params.d_a)
     _check_side(X, ib, db, "B", params.d_b)
 
@@ -454,7 +455,9 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     slightly (the factor is recorded), and their Lipschitz constants are
     measured rather than trusted.  When ``params`` is None, alpha comes
     from select_alpha and the remaining constants from EmbedParams.derive.
-    Each side's image distances are measured once here and passed on.
+    Each side's image distances are measured at most once, and the
+    returned ``full`` carries its measured squared distances.  The
+    caller's clouds are never written.
     """
     phi_a, phi_b = _as_cloud(phi_a), _as_cloud(phi_b)
     phi_a, da, d_a, scale_a = _normalize_side(X, P.idx_a, phi_a)
@@ -463,10 +466,9 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
         params = EmbedParams.derive(select_alpha(d_a, d_b), d_a, d_b, tol)
 
     # each build_psi checks both sides against params before building
-    res_b = build_psi(X, P, phi_a, phi_b, params, name="psi_b",
-                      side_dist=(da, db))
+    res_b = build_psi(X, P, phi_a, phi_b, params, name="psi_b")
     res_a = build_psi(X, P.swapped(), phi_b, phi_a, params.swapped(),
-                      name="psi_a", side_dist=(db, da))
+                      name="psi_a")
 
     delta = np.zeros((X.n, 1))
     delta[P.idx_a, 0] = params.gamma * P.r_a
@@ -474,7 +476,7 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     delta += 0.0   # normalize -0.0 on overlap points
     psi_delta = PointCloud(delta)
 
-    full = direct_sum([res_a.cloud, res_b.cloud, psi_delta])
+    full = _measured(direct_sum([res_a.cloud, res_b.cloud, psi_delta]))
     Dimg = pairwise_distances(full)
     report = _distortion_report(X.dist, Dimg, np.arange(X.n))
     audit = (res_a.entries + res_b.entries

@@ -254,6 +254,29 @@ def test_embed_rejects_non_integer_fields(tmp_path, capsys, bad):
     assert _stderr_payload(capsys)["error"] == "InputError"
 
 
+def test_non_finite_audit_values_end_in_one_error_line(tmp_path, capsys):
+    # distances of 1e200 overflow the audit's squared ratios: the
+    # AuditViolation witness holds measured = bound = inf
+    big = 1e200
+    path = _write(tmp_path, "huge.json", {
+        "space": {"dist": [[0, big, big], [big, 0, big], [big, big, 0]]},
+        "partition": {"a": [0, 1], "b": [2]},
+        "phi_a": {"points": [[0.0], [big]]},
+        "phi_b": {"points": [[0.0]]},
+    })
+    out_file = tmp_path / "huge.out.json"
+    assert main(["embed", "--input", path, "--output", str(out_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[1].startswith("runtime")
+    payload = json.loads(err[0])
+    assert payload["error"] == "AuditViolation"
+    assert payload["witness"]["measured"] == "inf"
+    assert payload["witness"]["bound"] == "inf"
+    dumped = json.loads(out_file.read_text())
+    assert dumped["error"] == payload
+    assert {e["slack"] for e in dumped["audit"] if not e["ok"]} == {"nan"}
+
+
 def test_runtime_goes_to_stderr_only(tmp_path, capsys):
     path = _write(tmp_path, "m.json", {"dist": [[0, 2], [2, 0]]})
     assert main(["check-metric", "--input", path]) == 0

@@ -80,6 +80,16 @@ def test_parse_space_good_and_bad():
         parse_space([1, 2])                               # not an object
 
 
+def test_parse_rejects_booleans_in_matrices():
+    with pytest.raises(InputError, match="numeric matrix"):
+        parse_space({"dist": [[False, True], [True, False]]})
+    with pytest.raises(InputError, match="numeric matrix"):
+        parse_space({"dist": [[0, 1.0], [True, 0]]})
+    with pytest.raises(InputError, match="numeric matrix"):
+        parse_cloud({"points": [[0.0, 1.0], [1.0, True]]})
+    assert parse_cloud({"points": [[0, 1.5], [1, 0]]}).m == 2
+
+
 def test_parse_partition():
     X = parse_space({"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]})
     P = parse_partition({"a": [0, 1], "b": [1, 2]}, X)

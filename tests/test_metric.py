@@ -193,6 +193,60 @@ def test_validate_metric_matches_per_k_scan():
     assert np.array_equal(validate_metric(D).dist, D)
 
 
+def _agrees_with_per_k_scan(D, tol=1e-12):
+    """validate_metric raises what the per-k scan finds: the same type,
+    violations in the same order, and the same total."""
+    ref, ref_total = _per_k_scan(D, tol)
+    if not ref:
+        validate_metric(D, tol=tol)
+        return 0
+    with pytest.raises(type(ref[0])) as ei:
+        validate_metric(D, tol=tol)
+    err = ei.value
+    assert type(err) is type(ref[0])
+    assert [_fields(v) for v in err.violations] == [_fields(v) for v in ref]
+    assert err.total == ref_total
+    return ref_total
+
+
+def test_half_screen_matches_per_k_scan():
+    # the screen takes each unordered pair once, in blocks of 128 rows or
+    # more from n = 256 on; a symmetric matrix flags both ends of a pair,
+    # an asymmetric one screens its transpose too
+    rng = stream(1, "test.half_screen")
+
+    # d(2,0) = 5 > d(2,1) + d(1,0) sits below the diagonal only
+    assert _agrees_with_per_k_scan(
+        np.array([[0.0, 1, 1], [1, 0, 1], [5, 1, 0]])) == 2
+
+    for n in (5, 200, 256, 300):
+        pts = rng.normal(size=(n, 3))
+        D = _euclidean(pts)
+        for i, j in rng.integers(0, n, size=(3, 2)):     # symmetric breaks
+            if i != j:
+                D[i, j] = D[j, i] = D[i, j] + rng.uniform(1.0, 5.0)
+        assert _agrees_with_per_k_scan(D) > 0
+        D = _euclidean(pts)                              # asymmetric breaks
+        r = rng.integers(n // 2, n, size=2)              # below the diagonal,
+        c = rng.integers(0, n // 3, size=2)              # across blocks
+        D[r, c] += rng.uniform(1.0, 5.0, size=2)
+        D[c[0], r[1]] += rng.uniform(1.0, 5.0)           # and one above it
+        assert _agrees_with_per_k_scan(D) > 3
+
+    # collinear integer points with one pair stretched by exactly the
+    # slack tol * max (not a violation), then by one ulp more (a violation)
+    x = np.arange(256.0)
+    tol = 2.0 ** -20
+    for i, j in ((3, 40), (150, 250), (10, 253)):
+        D = np.abs(x[:, None] - x[None, :])
+        D[i, j] = D[j, i] = D[i, j] + tol * D.max()
+        assert _agrees_with_per_k_scan(D, tol) == 0
+        D[i, j] = D[j, i] = np.nextafter(D[i, j], np.inf)
+        assert _agrees_with_per_k_scan(D, tol) > 0
+        D[j, i] = np.nextafter(D[j, i], -np.inf)         # one side only
+        assert _agrees_with_per_k_scan(D, tol) > 0
+
+
 def test_partition_basics():
     X = validate_metric(_euclidean(stream(3, "test.part").normal(size=(8, 2))))
     P = build_partition(X, [4, 0, 2], [1, 3, 5, 6, 7, 2])

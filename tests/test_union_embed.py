@@ -8,12 +8,16 @@ import pytest
 
 from metric_union import (AuditViolation, EmbedParams, InputDistortionError,
                           InputError, MetricUnionError, PartialMap,
-                          SolverStall, build_123_metric, build_partition,
-                          build_psi, distort_sides, embed_union,
+                          PointCloud, SolverStall, build_123_metric,
+                          build_partition, build_psi, distort_sides,
+                          distortion_of, embed_union, external_extend,
                           headline_bound, mds_isometric_embed,
-                          pairwise_distances, sample_split, select_alpha,
+                          pairwise_distances, ratio_check,
+                          sample_glue_instance, sample_split, select_alpha,
                           stream, union_instance, validate_metric)
 from metric_union import metric
+from metric_union.linalg import _measured
+from metric_union.union_embed import _normalize_side
 
 PSI_ITEMS = ("away_upper", "home_lower", "home_upper", "cross_upper",
              "cross_lower", "g_lip")
@@ -176,19 +180,7 @@ def test_embed_union_independent_of_input_layout(small, split_123):
         assert c_out == f_out
 
 
-def _count_kernel_calls(monkeypatch):
-    calls = []
-    kernel = metric._squared_distances
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(metric, "_squared_distances", counted)
-    return calls
-
-
-def test_embed_union_measures_each_side_once(monkeypatch, split_123):
+def test_embed_union_measures_each_side_once(kernel_calls, split_123):
     # per side one measurement (two when it is rescaled), per build_psi
     # that places a point the extension's final gate on sources and
     # targets and psi itself, and the direct sum: 9 calls, not 21.  When
@@ -198,11 +190,58 @@ def test_embed_union_measures_each_side_once(monkeypatch, split_123):
     cases = [(*split_123, None, 5),
              (inst.space, inst.partition, inst.phi_a, inst.phi_b,
               EmbedParams.derive(0.5, 1, 1), 9)]
-    calls = _count_kernel_calls(monkeypatch)
     for X, P, phi_a, phi_b, params, most in cases:
-        calls.clear()
+        kernel_calls.clear()
         embed_union(X, P, phi_a, phi_b, params=params)
-        assert 0 < len(calls) <= most
+        assert 0 < len(kernel_calls) <= most
+
+
+def test_carried_matrix_is_the_kernel_output(split_123, small):
+    X, P, phi_a, phi_b = split_123
+    emb = embed_union(X, P, phi_a, phi_b)
+    rescaled, _, _, scale = _normalize_side(X, P.idx_a, phi_a)
+    assert scale > 1.0   # the MDS simplex contracts by a few ulps
+    kept, _, _, scale = _normalize_side(small.space, small.partition.idx_a,
+                                        small.phi_a)
+    assert scale == 1.0
+    for cloud in (phi_a, rescaled, kept, emb.full):
+        sq = cloud.sq_dist
+        assert not sq.flags.writeable
+        copy = cloud.points.copy()
+        assert np.array_equal(sq, metric._squared_distances(copy))
+        assert np.array_equal(pairwise_distances(cloud),
+                              pairwise_distances(copy))
+    # take() and scaled() build clouds without one
+    assert phi_a.take([0, 1]).sq_dist is None
+    assert phi_a.scaled(2.0).sq_dist is None
+
+
+def test_caller_clouds_never_carry_a_matrix(small):
+    phi_a, phi_b = (PointCloud(c.points) for c in (small.phi_a, small.phi_b))
+    emb = embed_union(small.space, small.partition, phi_a, phi_b,
+                      params=EmbedParams.derive(0.5, 1.0, 1.0))
+    assert emb.full.sq_dist is not None
+    assert phi_a.sq_dist is None and phi_b.sq_dist is None
+    G = sample_glue_instance(12, 10, 9, 2, 3, seed=4, wobble=0.2)
+    external_extend(G)
+    assert G.u_points.sq_dist is None and G.v_points.sq_dist is None
+
+
+def test_spectral_leg_measures_each_cloud_once(kernel_calls, split_123):
+    # with MDS sides, only the rescaled sides and the full audit call the
+    # kernel: distortion_of and ratio_check reuse full's matrix (7 calls
+    # when each measured again)
+    X, P, phi_a, phi_b = split_123
+    split = sample_split(64, 0)
+    kernel_calls.clear()
+    emb = embed_union(X, P, phi_a, phi_b)
+    report = distortion_of(X, emb.full)
+    ratios = ratio_check(split, emb.full)
+    assert len(kernel_calls) <= 3
+    # and they give what measuring a plain copy again gives, bit for bit
+    plain = emb.full.points.copy()
+    assert report.as_dict() == distortion_of(X, plain).as_dict()
+    assert ratios == ratio_check(split, plain)
 
 
 def _spread_pairs(n, dim, seed):
@@ -224,9 +263,12 @@ def test_build_psi_side_dist_parity(split_123):
              (*_spread_pairs(20, 3, 0), iso)]
     placed = []
     for X, P, phi_a, phi_b, params in cases:
-        side_dist = pairwise_distances(phi_a), pairwise_distances(phi_b)
-        own, given = (build_psi(X, P, phi_a, phi_b, params, side_dist=sd)
-                      for sd in (None, side_dist))
+        # build_psi measures plain side clouds itself and re-indexes the
+        # matrices that measured ones carry
+        plain = [PointCloud(getattr(c, "points", c)) for c in (phi_a, phi_b)]
+        measured = [_measured(c) for c in plain]
+        own, given = (build_psi(X, P, *sides, params)
+                      for sides in (plain, measured))
         np.testing.assert_array_equal(own.cloud.points, given.cloud.points)
         assert ([e.as_dict() for e in own.entries]
                 == [e.as_dict() for e in given.entries])
@@ -255,10 +297,8 @@ def test_build_psi_side_dist_parity(split_123):
 def test_mismatched_side_shapes_rejected(small):
     X, P = small.space, small.partition
     with pytest.raises(InputError):
-        build_psi(X, P, small.phi_a, small.phi_b,
-                  EmbedParams.derive(0.5, 1.0, 1.0),
-                  side_dist=(pairwise_distances(small.phi_b),
-                             pairwise_distances(small.phi_a)))
+        build_psi(X, P, small.phi_b, small.phi_a,
+                  EmbedParams.derive(0.5, 1.0, 1.0))
     with pytest.raises(InputError):
         embed_union(X, P, small.phi_b, small.phi_a)
 
