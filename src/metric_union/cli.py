@@ -117,10 +117,14 @@ def cmd_embed(args):
 
     params = None
     if alpha is not None:
-        # each side's Lipschitz constant as embed_union will measure it
-        d_a = _normalize_side(X, P.idx_a, phi_a)[2]
-        d_b = _normalize_side(X, P.idx_b, phi_b)[2]
+        # each side's Lipschitz constant as embed_union will measure it;
+        # the measured copy goes on unless it was rescaled, since a
+        # rescaled copy can be rescaled again by an ulp
+        side_a, _, d_a, scale_a = _normalize_side(X, P.idx_a, phi_a)
+        side_b, _, d_b, scale_b = _normalize_side(X, P.idx_b, phi_b)
         params = EmbedParams.derive(float(alpha), d_a, d_b, args.tol)
+        phi_a = side_a if scale_a == 1.0 else phi_a
+        phi_b = side_b if scale_b == 1.0 else phi_b
 
     emb = embed_union(X, P, phi_a, phi_b, params=params, tol=args.tol)
     full = emb.as_dict()

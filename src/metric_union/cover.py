@@ -12,7 +12,7 @@ both properties before returning.  ``certify_f_lipschitz`` re-measures the
 Lipschitz constant of f and checks it against the 2(1 + 1/alpha) ceiling.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,15 +68,11 @@ def build_cover(X: FiniteMetricSpace, P: UnionPartition,
     picked = np.sort(np.asarray(picked, dtype=np.intp))
     cover_idx = ia[picked]
 
-    # nearest point in B per cover point, lowest index on ties; overlap
-    # points map to themselves (they sit at distance 0 from B)
+    # nearest point in B per cover point, lowest index on ties; an overlap
+    # point maps to itself, the only B point at distance 0 from it in a
+    # validated space
     ib = P.idx_b
-    DB = X.dist[np.ix_(cover_idx, ib)]
-    nearest = ib[np.argmin(DB, axis=1)]
-    b_set = set(int(v) for v in ib)
-    for k, c in enumerate(cover_idx):
-        if int(c) in b_set:
-            nearest[k] = c
+    nearest = ib[np.argmin(X.dist[np.ix_(cover_idx, ib)], axis=1)]
 
     result = CoverResult(alpha=float(alpha),
                          cover_idx=_readonly(cover_idx),
@@ -84,10 +80,7 @@ def build_cover(X: FiniteMetricSpace, P: UnionPartition,
                          lip_f=0.0,
                          lip_bound=f_lip_bound(alpha))
     verify_cover(X, P, result)
-    lip = certify_f_lipschitz(X, P, result)
-    return CoverResult(alpha=result.alpha, cover_idx=result.cover_idx,
-                       nearest=result.nearest, lip_f=lip,
-                       lip_bound=result.lip_bound)
+    return replace(result, lip_f=certify_f_lipschitz(X, P, result))
 
 
 def verify_cover(X: FiniteMetricSpace, P: UnionPartition,

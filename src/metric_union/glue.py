@@ -17,6 +17,9 @@ the U' side of the glued space stays exactly Euclidean, so running
 ``embed_union`` over it with identity coordinates on both sides produces
 a pair of maps (f1 on U', f2 on V') into one space that agree through the
 pairing and whose distortions are certified against ``9 * d_f + 2``.
+
+U' and V' are measured once each, and ``embed_union`` re-indexes their
+matrices; f2 is certified from V''s matrix and rows of the embedding's.
 """
 
 from dataclasses import dataclass
@@ -24,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateViolation, InputError
-from .linalg import PointCloud
-from .metric import (_min_plus, _readonly, build_partition,
-                     distortion_of, pairwise_distances, validate_metric)
+from .linalg import PointCloud, _measured
+from .metric import (_distortion_report, _min_plus, _readonly,
+                     build_partition, distortion_of, pairwise_distances,
+                     validate_metric)
 from .union_embed import UnionEmbedding, embed_union
 
 __all__ = ["GlueInstance", "ExternalExtension", "glue_instance",
@@ -152,8 +156,10 @@ def glue_instance(u_points, v_points, a_idx, b_idx, pairing) -> GlueInstance:
     )
 
 
-def _glue_parts(G: GlueInstance):
-    """Distance blocks of the quotient plus the V'-row placement maps.
+def _build_glued(G: GlueInstance):
+    """(X, P, phi_a, phi_b, vv_direct, v_global): the quotient, its
+    partition, U' and V' (in side-B row order) as measured private copies,
+    V''s distances in its own row order, and each V' row's space index.
 
     The cross block and the V' detours are min-plus products, taken by
     ``metric._min_plus`` in blocks whose sum tensor is no larger than the
@@ -161,11 +167,17 @@ def _glue_parts(G: GlueInstance):
     (nu, nv, m) or (nv, nv, m) tensor is built.  Sums and minima are
     exact, so the blocks do not depend on the blocking.
     """
-    U = G.u_points.points
-    V = G.v_points.points
-    nu = U.shape[0]
-    uu = pairwise_distances(U)
-    vv_direct = pairwise_distances(V)
+    nu = G.u_points.m
+    keep_v = np.setdiff1d(np.arange(G.v_points.m), G.pairing)
+    v_global = np.empty(G.v_points.m, dtype=np.intp)
+    v_global[G.pairing] = G.a_idx       # merged rows live at their partner
+    v_global[keep_v] = nu + np.arange(keep_v.size)
+    b_rows = np.argsort(v_global)       # V' rows in side-B order
+    phi_a = _measured(G.u_points)
+    phi_b = _measured(G.v_points.take(b_rows))
+    uu = pairwise_distances(phi_a)
+    pos = np.argsort(b_rows)
+    vv_direct = pairwise_distances(phi_b)[np.ix_(pos, pos)]
     ua = uu[:, G.a_idx]                 # (nu, m) walk to a pairing point
     bp = vv_direct[:, G.pairing]        # (nv, m) walk to a partner image
     aa = uu[np.ix_(G.a_idx, G.a_idx)]   # (m, m) walk between pairing points
@@ -178,18 +190,6 @@ def _glue_parts(G: GlueInstance):
     routed = np.minimum(routed, routed.T)
     vv = np.minimum(vv_direct, routed)
 
-    keep_v = np.setdiff1d(np.arange(V.shape[0]), G.pairing)
-    v_global = np.empty(V.shape[0], dtype=np.intp)
-    v_global[G.pairing] = G.a_idx       # merged rows live at their partner
-    v_global[keep_v] = nu + np.arange(keep_v.size)
-    return uu, vv, cross, keep_v, v_global
-
-
-def _build_glued(G: GlueInstance):
-    U = G.u_points.points
-    nu = U.shape[0]
-    uu, vv, cross, keep_v, v_global = _glue_parts(G)
-
     n = nu + keep_v.size
     D = np.zeros((n, n))
     D[:nu, :nu] = uu
@@ -199,9 +199,8 @@ def _build_glued(G: GlueInstance):
     labels = tuple(("u", int(i)) for i in range(nu)) \
         + tuple(("v", int(j)) for j in keep_v)
     X = validate_metric(D, labels=labels)
-    idx_b = np.concatenate([G.a_idx, nu + np.arange(keep_v.size)])
-    P = build_partition(X, np.arange(nu), idx_b)
-    return X, P, keep_v, v_global
+    P = build_partition(X, np.arange(nu), v_global)
+    return X, P, phi_a, phi_b, vv_direct, v_global
 
 
 def glued_metric(G: GlueInstance):
@@ -214,8 +213,7 @@ def glued_metric(G: GlueInstance):
     metric validation; a failure propagates and signals a bug or
     degenerate (duplicate-point) input.
     """
-    X, P, _, _ = _build_glued(G)
-    return X, P
+    return _build_glued(G)[:2]
 
 
 def _certify(name, witness, measured, bound):
@@ -232,14 +230,12 @@ def external_extend(G: GlueInstance, tol: float = 1e-7) -> ExternalExtension:
     and restricts the result to each side.  Certifies compatibility
     (paired rows agree bitwise), non-contraction of ``f2`` on V', and the
     distortion ceiling ``9 * d_f + 2`` before returning.
+
+    U' and V' go in as measured copies (``G``'s clouds are not written);
+    f2's certificates re-index V''s matrix and ``full``'s, bit for bit
+    what measuring again gives, as kernel entries depend only on two rows.
     """
-    X, P, keep_v, v_global = _build_glued(G)
-    V = G.v_points.points
-    phi_a = G.u_points
-    # P.idx_b is canonically sorted: merged globals (= a_idx values)
-    # ascending, then the unmatched block; order phi_b rows to match
-    merged_order = np.argsort(G.a_idx)
-    phi_b = PointCloud(np.vstack([V[G.pairing[merged_order]], V[keep_v]]))
+    X, P, phi_a, phi_b, vv_direct, v_global = _build_glued(G)
     emb = embed_union(X, P, phi_a, phi_b, tol=tol)
 
     nu = G.u_points.m
@@ -255,20 +251,14 @@ def external_extend(G: GlueInstance, tol: float = 1e-7) -> ExternalExtension:
     _certify("glue.extension_bound_f1", rep1.expansion_pair,
              rep1.distortion, bound + _BOUND_SLACK)
 
-    d2 = 1.0
-    witness2 = None
-    if V.shape[0] >= 2:
-        dv = pairwise_distances(V)
-        dimg = pairwise_distances(f2.points)
-        iu, jv = np.triu_indices(V.shape[0], k=1)
-        ratios = dimg[iu, jv] / dv[iu, jv]
-        k = int(np.argmin(ratios))
-        _certify("glue.f2_noncontracting",
-                 (int(iu[k]), int(jv[k])), 1.0 - float(ratios[k]), _REL)
-        k = int(np.argmax(ratios))
-        witness2 = (int(iu[k]), int(jv[k]))
-        d2 = float(ratios[k]) * max(float(1.0 / ratios.min()), 1.0)
-    _certify("glue.extension_bound_f2", witness2, d2, bound + _BOUND_SLACK)
+    # f2's distances are rows of full's: re-index its carried matrix
+    f2_dist = np.sqrt(emb.full.sq_dist[np.ix_(v_global, v_global)])
+    rep2 = _distortion_report(vv_direct, f2_dist, np.arange(G.v_points.m))
+    _certify("glue.f2_noncontracting", rep2.contraction_pair,
+             1.0 - 1.0 / rep2.contraction, _REL)
+    d2 = rep2.expansion * max(rep2.contraction, 1.0)
+    _certify("glue.extension_bound_f2", rep2.expansion_pair, d2,
+             bound + _BOUND_SLACK)
 
     return ExternalExtension(
         f1=f1,

@@ -29,11 +29,12 @@ class PointCloud:
     the raw output of one distance-kernel call on ``points``.  Only the
     library fills it, and only on clouds it builds and measures anyway:
     the result of ``mds_isometric_embed``, the side clouds ``embed_union``
-    normalizes (private copies) and ``embed_union``'s ``full``.  A cloud
-    is never written after it is built, so a caller's cloud never gains
-    one.  ``pairwise_distances``, ``distortion_of`` and ``ratio_check``
-    read it instead of measuring again; ``take`` and ``scaled`` return
-    clouds without one.
+    normalizes and the glued sides ``external_extend`` hands it (private
+    copies), and ``embed_union``'s ``full``.  A cloud is never written
+    after it is built, so a caller's cloud never gains one.
+    ``pairwise_distances``, ``distortion_of`` and ``ratio_check`` read it
+    instead of measuring again; ``take`` and ``scaled`` return clouds
+    without one.
     """
 
     points: np.ndarray

@@ -16,11 +16,11 @@ AuditViolation carrying the full entry list.
 
 ``embed_union`` measures each side's image distances at most once, when
 it normalizes that side (not at all when the side cloud already carries
-them, as ``mds_isometric_embed``'s result does), and the normalized side
-clouds carry them on: the side checks, the partial map's Lipschitz
-constant, the domination entries, and psi's own matrix when no point is
-placed (every row of psi is then a row of phi_B) re-index them.  The
-returned ``full`` carries the squared distances its audit measured, for
+them, as ``mds_isometric_embed``'s result and the glued sides do), and
+the normalized side clouds carry them on: the side checks, the partial
+map's Lipschitz constant, the domination entries and psi's own matrix
+re-index them (psi measures only its placed rows).  The returned
+``full`` carries the squared distances its audit measured, for
 ``distortion_of`` and ``ratio_check`` to reuse.  The distance kernel's
 entries depend only on their two rows, so the audit is bit-for-bit what
 measuring each cloud again gives.
@@ -266,8 +266,10 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
 
     Each side's image distances come from ``pairwise_distances``, which
     reuses a side cloud's carried ``sq_dist``.  The side checks and the
-    partial map's Lipschitz constant re-index these matrices, and so does
-    psi's own matrix when no A point is placed.
+    partial map's Lipschitz constant re-index these matrices.  psi's own
+    matrix has one rule: rows copied from phi_b (B, and cover points
+    through ``nb``) re-index phi_b's matrix, and only placed rows are
+    measured, as one block against all of psi.
 
     Audited guarantees, with lf = 2(1 + 1/alpha):
       {name}.away_upper   A-pair image ratio   <= lf * d_a * d_b
@@ -306,13 +308,14 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
             gmap, phi_a.take([row_a[int(s)] for s in rest]),
             params.tol).points
     psi[ib] = phi_b.points   # home side last: psi restricted to B is phi_b
+    rows = np.zeros(X.n, dtype=np.intp)   # placed rows: measured below
+    rows[C.cover_idx] = nb
+    rows[ib] = np.arange(ib.size)
+    Dimg = db[np.ix_(rows, rows)]
     if rest.size:
-        Dimg = pairwise_distances(psi)
-    else:   # every row of psi is a row of phi_b: re-index its matrix
-        rows = np.empty(X.n, dtype=np.intp)
-        rows[C.cover_idx] = nb
-        rows[ib] = np.arange(ib.size)
-        Dimg = db[np.ix_(rows, rows)]
+        placed = pairwise_distances(psi[rest], psi)
+        Dimg[rest] = placed
+        Dimg[:, rest] = placed.T
 
     audit = _Collector()
     Dx = X.dist

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import metric_union.glue as glue
-from metric_union import (canonical_dumps, external_extend, glued_metric,
+from metric_union import (EmbedParams, PointCloud, canonical_dumps,
+                          embed_union, external_extend, glued_metric,
                           load_json, parse_glue, sample_glue_instance,
                           to_jsonable, union_instance)
 from metric_union.cli import main
+from metric_union.union_embed import _normalize_side
 
 
 def _write(tmp_path, name, obj):
@@ -101,6 +103,42 @@ def test_embed_alpha_flag(tmp_path, capsys, embed_input):
     assert rep["params"]["d_b"] == 1.0
     assert rep["scale_a"] == 1.0
     assert all(e["ok"] for e in rep["audit"])
+
+
+def test_embed_alpha_measures_each_side_once(tmp_path, capsys,
+                                             kernel_calls):
+    # --alpha measures each side for its Lipschitz constant and hands the
+    # measured copy on: 9 kernel calls, as without --alpha (11 when
+    # embed_union measured each side again).  A rescaled side goes on as
+    # the caller's cloud, so the report is what embed_union gives on the
+    # caller's clouds.
+    inst = union_instance(30, 25, 3, 4, seed=1)
+    X, P = inst.space, inst.partition
+    for name, phi_a in (("plain", inst.phi_a.points),
+                        ("scaled", 2.0 * inst.phi_a.points),
+                        ("contracting", 0.98 * inst.phi_a.points)):
+        path = _write(tmp_path, f"{name}.json", {
+            "space": {"dist": X.dist},
+            "partition": {"a": P.idx_a, "b": P.idx_b},
+            "phi_a": {"points": phi_a},
+            "phi_b": {"points": inst.phi_b.points},
+        })
+        kernel_calls.clear()
+        assert main(["embed", "--input", path, "--alpha", "0.5"]) == 0
+        out = capsys.readouterr().out
+        if name == "contracting":
+            assert json.loads(out)["scale_a"] > 1.0
+        else:
+            assert len(kernel_calls) <= 9
+        phi_a, phi_b = PointCloud(phi_a), PointCloud(inst.phi_b.points)
+        d_a = _normalize_side(X, P.idx_a, phi_a)[2]
+        d_b = _normalize_side(X, P.idx_b, phi_b)[2]
+        full = embed_union(X, P, phi_a, phi_b, params=EmbedParams.derive(
+            0.5, d_a, d_b, 1e-7)).as_dict()
+        assert out == canonical_dumps({
+            "embedding": {"dim": full["dim"], "points": full["points"]},
+            **{k: full[k] for k in ("report", "audit", "params",
+                                    "scale_a", "scale_b")}})
 
 
 def test_embed_deterministic_bytes(tmp_path, embed_input):

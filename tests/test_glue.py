@@ -5,8 +5,10 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import cdist
 
+import metric_union.glue as glue
 from metric_union import (InputError, external_extend, glue_instance,
-                          glued_metric, sample_glue_instance)
+                          glued_metric, pairwise_distances,
+                          sample_glue_instance)
 
 
 def _oracle_quotient(G):
@@ -150,3 +152,75 @@ def test_glue_rejects_bad_point_arrays():
         glue_instance(np.zeros((0, 2)), [[0.0]], [0], [0], [0])
     with pytest.raises(InputError):
         glue_instance([0.0, 1.0], [[0.0]], [0], [0], [0])   # 1-d array
+
+
+def test_external_extend_measures_each_cloud_once(kernel_calls):
+    # U' and V' once each, then only what embed_union cannot re-index
+    # (psi's placed rows, the extension's final gate, full) and f1's
+    # report: 11 and 8 calls when the sides and f2 were measured again
+    for sizes, most in (((40, 40, 40, 3, 4), 7), ((12, 10, 9, 2, 3), 4)):
+        G = sample_glue_instance(*sizes, seed=4, wobble=0.2)
+        kernel_calls.clear()
+        external_extend(G)
+        assert 0 < len(kernel_calls) <= most
+
+
+def test_build_glued_keeps_v_matrix():
+    G = sample_glue_instance(12, 10, 9, 2, 3, seed=4, wobble=0.2)
+    X, P, phi_a, phi_b, vv_direct, v_global = glue._build_glued(G)
+    assert np.array_equal(vv_direct, pairwise_distances(G.v_points.points))
+    # the sides embed_union gets carry their matrices, in partition order
+    assert np.array_equal(pairwise_distances(phi_a),
+                          pairwise_distances(G.u_points.points))
+    assert np.array_equal(phi_b.points,
+                          G.v_points.points[np.argsort(v_global)])
+    assert phi_b.sq_dist is not None
+    assert G.u_points.sq_dist is None and G.v_points.sq_dist is None
+
+
+def _scan_f2(G, ext):
+    """f2's certificates as a triu scan of freshly measured matrices."""
+    dv = pairwise_distances(G.v_points.points)
+    dimg = pairwise_distances(ext.f2.points)
+    iu, jv = np.triu_indices(dv.shape[0], k=1)
+    ratios = dimg[iu, jv] / dv[iu, jv]
+    lo, hi = int(np.argmin(ratios)), int(np.argmax(ratios))
+    d2 = float(ratios[hi]) * max(float(1.0 / ratios.min()), 1.0)
+    return (1.0 - float(ratios[lo]), (int(iu[lo]), int(jv[lo])),
+            d2, (int(iu[hi]), int(jv[hi])))
+
+
+@pytest.fixture()
+def certified(monkeypatch):
+    """(witness, measured) of each glue certificate checked in the test."""
+    checked = {}
+    certify = glue._certify
+
+    def record(name, witness, measured, bound):
+        checked[name] = (witness, measured)
+        return certify(name, witness, measured, bound)
+
+    monkeypatch.setattr(glue, "_certify", record)
+    return checked
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 7])
+def test_f2_certificates_match_the_pairwise_scan(seed, certified):
+    G = sample_glue_instance(8, 6, 7, 2, 3, seed=seed, wobble=0.3)
+    ext = external_extend(G)
+    shortfall, lo_pair, d2, hi_pair = _scan_f2(G, ext)
+    assert ext.distortion_f2 == d2
+    assert certified["glue.extension_bound_f2"] == (hi_pair, d2)
+    witness, measured = certified["glue.f2_noncontracting"]
+    assert witness == lo_pair
+    # 1 - 1/contraction against 1 - min ratio: they differ only by the
+    # rounding of the two reciprocals
+    assert abs(measured - shortfall) <= 2 * np.spacing(max(1.0,
+                                                           1.0 - shortfall))
+
+
+def test_f2_certificates_with_one_v_row(certified):
+    G = glue_instance([[0.0, 0.0], [5.0, 0.0]], [[7.0]], [1], [0], [0])
+    ext = external_extend(G)
+    assert ext.distortion_f2 == 1.0
+    assert certified["glue.extension_bound_f2"] == (None, 1.0)
