@@ -25,16 +25,21 @@ __all__ = [
 class PointCloud:
     """Immutable (m, dim) array of points in Euclidean space.
 
-    ``sq_dist`` is None or the read-only (m, m) squared-distance matrix,
-    the raw output of one distance-kernel call on ``points``.  Only the
-    library fills it, and only on clouds it builds and measures anyway:
-    the result of ``mds_isometric_embed``, the side clouds ``embed_union``
-    normalizes and the glued sides ``external_extend`` hands it (private
-    copies), and ``embed_union``'s ``full``.  A cloud is never written
-    after it is built, so a caller's cloud never gains one.
-    ``pairwise_distances``, ``distortion_of`` and ``ratio_check`` read it
-    instead of measuring again; ``take`` and ``scaled`` return clouds
-    without one.
+    ``sq_dist`` is None or the read-only (m, m) squared-distance matrix of
+    ``points``: either the raw output of one distance-kernel call, or
+    derived exactly from kernel outputs by a sum or a factor scale**2,
+    which rounds each entry within a few ulps of what measuring again
+    gives.  Only the library fills it, and only on clouds it builds and
+    measures anyway: the result of ``mds_isometric_embed`` (measured), the
+    side clouds ``embed_union`` normalizes and the glued sides
+    ``external_extend`` hands it (private copies, measured; a rescaled
+    side carries scale**2 times its measured matrix), psi's cloud (phi_b's
+    matrix re-indexed, its placed rows measured), and ``direct_sum`` of
+    clouds that all carry one (the sum of theirs), which makes
+    ``embed_union``'s ``full``.  A cloud is never written after it is
+    built, so a caller's cloud never gains one.  ``pairwise_distances``,
+    ``distortion_of`` and ``ratio_check`` read it instead of measuring
+    again; ``take`` and ``scaled`` return clouds without one.
     """
 
     points: np.ndarray
@@ -65,16 +70,23 @@ class PointCloud:
         return PointCloud(self.points * float(factor))
 
 
+def _carrying(cloud, sq):
+    """A copy of ``cloud`` that shares its read-only points and carries
+    ``sq`` (made read-only) as its squared distances, or no matrix when
+    ``sq`` is None.  ``cloud`` itself is not written."""
+    out = copy.copy(cloud)
+    if sq is not None:
+        sq.setflags(write=False)
+    object.__setattr__(out, "sq_dist", sq)
+    return out
+
+
 def _measured(cloud):
     """A copy of ``cloud`` that carries its squared distances, measured by
-    one kernel call unless ``cloud`` carries them already.  The copy
-    shares the read-only points; ``cloud`` itself is not written."""
-    out = copy.copy(cloud)
-    if out.sq_dist is None:
-        sq = metric._squared_distances(cloud.points)
-        sq.setflags(write=False)
-        object.__setattr__(out, "sq_dist", sq)
-    return out
+    one kernel call unless ``cloud`` carries them already."""
+    sq = cloud.sq_dist
+    return _carrying(cloud, metric._squared_distances(cloud.points)
+                     if sq is None else sq)
 
 
 @dataclass(frozen=True)
@@ -173,8 +185,11 @@ def mds_best_effort(X: FiniteMetricSpace) -> PointCloud:
 def direct_sum(clouds) -> PointCloud:
     """Coordinate-wise concatenation of clouds over the same point set.
 
-    Squared pairwise distances add exactly across summands.  Raises
-    LengthMismatchError when the clouds disagree on point count.
+    Squared pairwise distances add exactly across summands, so when every
+    summand carries ``sq_dist`` the result carries their sum, added in
+    summand order, instead of being measured again; otherwise it carries
+    none.  Raises LengthMismatchError when the clouds disagree on point
+    count.
     """
     clouds = list(clouds)
     if not clouds:
@@ -183,4 +198,10 @@ def direct_sum(clouds) -> PointCloud:
     if len(counts) != 1:
         raise LengthMismatchError(
             f"clouds have differing point counts: {sorted(counts)}")
-    return PointCloud(np.hstack([c.points for c in clouds]))
+    out = PointCloud(np.hstack([c.points for c in clouds]))
+    if any(c.sq_dist is None for c in clouds):
+        return out
+    sq = clouds[0].sq_dist.copy()
+    for c in clouds[1:]:
+        sq += c.sq_dist
+    return _carrying(out, sq)

@@ -171,11 +171,32 @@ def sample_split(n: int, seed: int) -> BipartiteSplit:
         _MAX_ATTEMPTS, f"no usable split of K_{{{n},{n}}} found")
 
 
+def _structured_123(D, n):
+    """True when D has the 1/2/3 structure that makes it a metric: zero
+    diagonal, 2 off the diagonal within each side, and symmetric cross
+    entries in {1, 2, 3}.  A 3 lies only across the sides, and any third
+    point is on one of them, so one of its two legs is a 2 and the other
+    at least 1: 3 <= 2 + 1.  Every other triangle has 2 <= 1 + 1."""
+    side = ~np.eye(n, dtype=bool)
+    cross = D[:n, n:]
+    return bool(np.all(np.diagonal(D) == 0.0)
+                and np.all(D[:n, :n][side] == 2.0)
+                and np.all(D[n:, n:][side] == 2.0)
+                and np.all(np.isin(cross, (1.0, 2.0, 3.0)))
+                and np.array_equal(D[n:, :n], cross.T))
+
+
 def build_123_metric(split: BipartiteSplit):
     """The 1/2/3-distance space over the split, with its partition.
 
     Distance 2 within each side, 1 across e1 edges, 3 across e2 edges.
     Returns (space, partition) with side A = [0, n), side B = [n, 2n).
+    The space is certified a metric by its structure in O(n^2): zero
+    diagonal, 2 within each side, and symmetric cross entries in
+    {1, 2, 3}, which makes every triangle hold (see ``_structured_123``).
+    A matrix without that structure (a hand-built split with an edge
+    inside one side, say) goes through the full ``validate_metric`` and
+    raises its named error when it is not a metric.
     """
     n2 = 2 * split.n
     D = np.full((n2, n2), 2.0)
@@ -184,7 +205,10 @@ def build_123_metric(split: BipartiteSplit):
     D[split.e1[:, 1], split.e1[:, 0]] = 1.0
     D[split.e2[:, 0], split.e2[:, 1]] = 3.0
     D[split.e2[:, 1], split.e2[:, 0]] = 3.0
-    X = validate_metric(D)
+    if _structured_123(D, split.n):
+        X = FiniteMetricSpace(dist=_readonly(D), labels=tuple(range(n2)))
+    else:
+        X = validate_metric(D)
     P = build_partition(X, np.arange(split.n), np.arange(split.n, n2))
     return X, P
 

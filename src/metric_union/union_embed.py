@@ -17,13 +17,17 @@ AuditViolation carrying the full entry list.
 ``embed_union`` measures each side's image distances at most once, when
 it normalizes that side (not at all when the side cloud already carries
 them, as ``mds_isometric_embed``'s result and the glued sides do), and
-the normalized side clouds carry them on: the side checks, the partial
-map's Lipschitz constant, the domination entries and psi's own matrix
-re-index them (psi measures only its placed rows).  The returned
-``full`` carries the squared distances its audit measured, for
-``distortion_of`` and ``ratio_check`` to reuse.  The distance kernel's
-entries depend only on their two rows, so the audit is bit-for-bit what
-measuring each cloud again gives.
+the normalized side clouds carry them on; a rescaled side carries
+scale**2 times them.  The side checks, the partial map's Lipschitz
+constant, the domination entries and psi's own matrix re-index them
+(psi measures only its placed rows).  The direct sum's squared distances
+are the sum of its summands' (psi_Delta's single coordinate is measured),
+since squared distances add exactly across summands, so no cloud with
+more than one coordinate is measured again.  The returned ``full``
+carries that sum, for ``distortion_of`` and ``ratio_check`` to reuse.
+The distance kernel's entries depend only on their two rows, so
+re-indexed entries are bit for bit what measuring again gives; summed
+and rescaled ones round within a few ulps of it.
 """
 
 import math
@@ -31,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metric
 from .cover import CoverResult, build_cover, f_lip_bound
 from .errors import AuditViolation, InputDistortionError, InputError
 from .kirszbraun import PartialMap, _lip_from, extend_sequential
-from .linalg import PointCloud, _measured, direct_sum
+from .linalg import PointCloud, _carrying, _measured, direct_sum
 from .metric import (DistortionReport, FiniteMetricSpace, UnionPartition,
                      _distortion_report, pairwise_distances)
 # no longer called here, but kept as a module attribute: the benchmark's
@@ -130,7 +135,8 @@ class AuditEntry:
 
 @dataclass(frozen=True)
 class PsiResult:
-    """One-sided map over all points, its cover, and its audit entries."""
+    """One-sided map over all points, its cover, and its audit entries.
+    ``cloud`` carries its squared distances."""
 
     cloud: PointCloud
     cover: CoverResult
@@ -191,7 +197,7 @@ def _normalize_side(X, idx, cloud):
     scale): ``cloud`` a private copy, rescaled when needed, that carries
     its squared distances, and ``dist`` its image distance matrix.  The
     caller's cloud is measured only when it carries no matrix, and is
-    never written.
+    never written; a rescaled copy carries scale**2 times that matrix.
     """
     if cloud.m != idx.size:
         raise InputError(f"{cloud.m} image rows for {idx.size} points")
@@ -202,7 +208,8 @@ def _normalize_side(X, idx, cloud):
     scale = 1.0
     if rep.contraction > 1.0:
         scale = rep.contraction
-        side = _measured(cloud.scaled(scale))
+        side = _carrying(cloud.scaled(scale),
+                         scale * scale * side.sq_dist)
         dm = pairwise_distances(side)
         rep = _distortion_report(dx, dm, idx)
     return side, dm, max(rep.expansion, 1.0), scale
@@ -264,12 +271,13 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     sequential Lipschitz extension of that partial map.  Overlap points
     are consistent by construction (their nearest point is themselves).
 
-    Each side's image distances come from ``pairwise_distances``, which
-    reuses a side cloud's carried ``sq_dist``.  The side checks and the
-    partial map's Lipschitz constant re-index these matrices.  psi's own
-    matrix has one rule: rows copied from phi_b (B, and cover points
-    through ``nb``) re-index phi_b's matrix, and only placed rows are
-    measured, as one block against all of psi.
+    Each side is measured unless its cloud carries ``sq_dist``.  The
+    side checks and the partial map's Lipschitz constant re-index these
+    matrices.  psi's squared matrix has one rule: rows copied from phi_b
+    (B, and cover points through ``nb``) re-index phi_b's matrix, and only
+    placed rows are measured, as one block against all of psi.  The
+    returned cloud carries that matrix, and the audit takes its distances
+    as roots of the entries it selects from it.
 
     Audited guarantees, with lf = 2(1 + 1/alpha):
       {name}.away_upper   A-pair image ratio   <= lf * d_a * d_b
@@ -279,7 +287,7 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
       {name}.cross_lower  (|psi(a)-psi(b)| - d + beta*R_a)/d >= 0
       {name}.g_lip        partial-map constant <= lf * d_b
     """
-    phi_a, phi_b = _as_cloud(phi_a), _as_cloud(phi_b)
+    phi_a, phi_b = (_measured(_as_cloud(c)) for c in (phi_a, phi_b))
     ia, ib = P.idx_a, P.idx_b
     if phi_a.m != ia.size:
         raise InputError(f"phi_a has {phi_a.m} rows for {ia.size} A-points")
@@ -311,11 +319,11 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     rows = np.zeros(X.n, dtype=np.intp)   # placed rows: measured below
     rows[C.cover_idx] = nb
     rows[ib] = np.arange(ib.size)
-    Dimg = db[np.ix_(rows, rows)]
+    sq = phi_b.sq_dist[np.ix_(rows, rows)]
     if rest.size:
-        placed = pairwise_distances(psi[rest], psi)
-        Dimg[rest] = placed
-        Dimg[:, rest] = placed.T
+        placed = metric._squared_distances(psi[rest], psi)
+        sq[rest] = placed
+        sq[:, rest] = placed.T
 
     audit = _Collector()
     Dx = X.dist
@@ -323,24 +331,25 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
 
     pa = _same_side_pairs(ia)
     audit.add(f"{name}.away_upper", "upper",
-              Dimg[pa] / Dx[pa], pa, lf * params.d_a * params.d_b)
+              np.sqrt(sq[pa]) / Dx[pa], pa, lf * params.d_a * params.d_b)
     pb = _same_side_pairs(ib)
-    audit.add(f"{name}.home_lower", "lower", Dimg[pb] / Dx[pb], pb, 1.0)
-    audit.add(f"{name}.home_upper", "upper", Dimg[pb] / Dx[pb], pb,
-              params.d_b)
+    ratio_b = np.sqrt(sq[pb]) / Dx[pb]
+    audit.add(f"{name}.home_lower", "lower", ratio_b, pb, 1.0)
+    audit.add(f"{name}.home_upper", "upper", ratio_b, pb, params.d_b)
     px = _cross_pairs(ia, ib)
     xi_home = (2.0 * (1.0 + params.alpha) * params.d_a * params.d_b
                + (2.0 + params.alpha) * params.d_b)
-    audit.add(f"{name}.cross_upper", "upper", Dimg[px] / Dx[px], px, xi_home)
+    img_x = np.sqrt(sq[px])
+    audit.add(f"{name}.cross_upper", "upper", img_x / Dx[px], px, xi_home)
     r_of = np.zeros(X.n)
     r_of[ia] = P.r_a
-    margin = (Dimg[px] - Dx[px] + params.beta * r_of[px[0]]) / Dx[px]
+    margin = (img_x - Dx[px] + params.beta * r_of[px[0]]) / Dx[px]
     audit.add(f"{name}.cross_lower", "lower", margin, px, 0.0)
     audit.scalar(f"{name}.g_lip", "upper", gmap.lip, lf * params.d_b)
 
     _raise_if_failing(audit.entries)
-    return PsiResult(cloud=PointCloud(psi), cover=C, gmap=gmap,
-                     entries=audit.entries)
+    return PsiResult(cloud=_carrying(PointCloud(psi), sq), cover=C,
+                     gmap=gmap, entries=audit.entries)
 
 
 def headline_bound(params: EmbedParams) -> float:
@@ -391,36 +400,40 @@ def _claim_case_bound_sq(d, ra, rb, beta):
         default=delta_sq)
 
 
-def _full_audit(X, P, params, da, db, Dimg, psi_delta):
-    """Entries of the direct sum, from its image distance matrix Dimg and
-    the side image distance matrices da and db."""
+def _full_audit(X, P, params, full, phi_a, phi_b, psi_delta):
+    """Entries of the direct sum.  Image distances are the roots of the
+    entries each check selects from the carried squared matrices of
+    ``full`` and of the normalized sides ``phi_a`` and ``phi_b``."""
     ia, ib = P.idx_a, P.idx_b
     audit = _Collector()
     Dx = X.dist
+    sq = full.sq_dist
     sq_a, sq_b, sq_x = _sq_bounds(params)
 
     pa = _same_side_pairs(ia)
     pb = _same_side_pairs(ib)
     px = _cross_pairs(ia, ib)
-    audit.add("full.side_a_sq", "upper", (Dimg[pa] / Dx[pa]) ** 2, pa, sq_a)
-    audit.add("full.side_b_sq", "upper", (Dimg[pb] / Dx[pb]) ** 2, pb, sq_b)
-    audit.add("full.cross_sq", "upper", (Dimg[px] / Dx[px]) ** 2, px, sq_x)
+    img_a, img_b, img_x = (np.sqrt(sq[p]) for p in (pa, pb, px))
+    audit.add("full.side_a_sq", "upper", (img_a / Dx[pa]) ** 2, pa, sq_a)
+    audit.add("full.side_b_sq", "upper", (img_b / Dx[pb]) ** 2, pb, sq_b)
+    audit.add("full.cross_sq", "upper", (img_x / Dx[px]) ** 2, px, sq_x)
 
     iu, ju = np.triu_indices(X.n, k=1)
-    ratio = Dimg[iu, ju] / Dx[iu, ju]
+    ratio = np.sqrt(sq[iu, ju]) / Dx[iu, ju]
     audit.add("full.noncontract", "lower", ratio, (iu, ju), 1.0)
     head = headline_bound(params)
     audit.add("full.expansion", "upper", ratio, (iu, ju), head)
     audit.scalar("full.headline_consistent", "upper",
                  math.sqrt(max(sq_a, sq_b, sq_x)), head)
+    del iu, ju, ratio   # all pairs: freed before the cross-pair entries
 
     # the direct sum can only add to the per-side coordinate distances
     ta = np.triu_indices(ia.size, k=1)
     audit.add("full.dominates_phi_a", "lower",
-              Dimg[np.ix_(ia, ia)][ta] / da[ta], pa, 1.0)
+              img_a / np.sqrt(phi_a.sq_dist[ta]), pa, 1.0)
     tb = np.triu_indices(ib.size, k=1)
     audit.add("full.dominates_phi_b", "lower",
-              Dimg[np.ix_(ib, ib)][tb] / db[tb], pb, 1.0)
+              img_b / np.sqrt(phi_b.sq_dist[tb]), pb, 1.0)
 
     # one-coordinate part: Lipschitz gamma on each side, and across sides
     # exactly gamma_hat * (R_a + R_b) where gamma_hat re-derives gamma
@@ -444,7 +457,7 @@ def _full_audit(X, P, params, da, db, Dimg, psi_delta):
     case_sq = _claim_case_bound_sq(Dx[px], r_of_a[px[0]], r_of_b[px[1]],
                                    params.beta)
     audit.add("full.claim_case_bound", "lower",
-              (Dimg[px] ** 2 - case_sq) / Dx[px] ** 2, px, 0.0)
+              (img_x ** 2 - case_sq) / Dx[px] ** 2, px, 0.0)
     audit.add("full.claim_dominates", "lower", case_sq / Dx[px] ** 2, px, 1.0)
     return audit.entries
 
@@ -459,12 +472,13 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     measured rather than trusted.  When ``params`` is None, alpha comes
     from select_alpha and the remaining constants from EmbedParams.derive.
     Each side's image distances are measured at most once, and the
-    returned ``full`` carries its measured squared distances.  The
-    caller's clouds are never written.
+    returned ``full`` carries its squared distances, the sum of its
+    summands'; the returned psi clouds carry none.  The caller's clouds
+    are never written.
     """
     phi_a, phi_b = _as_cloud(phi_a), _as_cloud(phi_b)
-    phi_a, da, d_a, scale_a = _normalize_side(X, P.idx_a, phi_a)
-    phi_b, db, d_b, scale_b = _normalize_side(X, P.idx_b, phi_b)
+    phi_a, _, d_a, scale_a = _normalize_side(X, P.idx_a, phi_a)
+    phi_b, _, d_b, scale_b = _normalize_side(X, P.idx_b, phi_b)
     if params is None:
         params = EmbedParams.derive(select_alpha(d_a, d_b), d_a, d_b, tol)
 
@@ -477,15 +491,19 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     delta[P.idx_a, 0] = params.gamma * P.r_a
     delta[P.idx_b, 0] = -(params.gamma * P.r_b)
     delta += 0.0   # normalize -0.0 on overlap points
-    psi_delta = PointCloud(delta)
+    psi_delta = _measured(PointCloud(delta))
 
-    full = _measured(direct_sum([res_a.cloud, res_b.cloud, psi_delta]))
-    Dimg = pairwise_distances(full)
-    report = _distortion_report(X.dist, Dimg, np.arange(X.n))
-    audit = (res_a.entries + res_b.entries
-             + _full_audit(X, P, params, da, db, Dimg, psi_delta))
+    full = direct_sum([res_a.cloud, res_b.cloud, psi_delta])
+    # only full keeps an n x n matrix: the summands' are dropped here
+    psi_a, psi_b, psi_delta = (_carrying(c, None) for c in
+                               (res_a.cloud, res_b.cloud, psi_delta))
+    audit = res_a.entries + res_b.entries
+    del res_a, res_b
+    report = _distortion_report(X.dist, pairwise_distances(full),
+                                np.arange(X.n))
+    audit += _full_audit(X, P, params, full, phi_a, phi_b, psi_delta)
     _raise_if_failing(audit)
-    return UnionEmbedding(psi_a=res_a.cloud, psi_b=res_b.cloud,
+    return UnionEmbedding(psi_a=psi_a, psi_b=psi_b,
                           psi_delta=psi_delta, full=full, report=report,
                           audit=audit, params=params,
                           scale_a=scale_a, scale_b=scale_b)

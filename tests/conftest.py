@@ -1,8 +1,10 @@
 """Shared fixtures."""
 
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import metric_union
@@ -19,17 +21,34 @@ def src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+@dataclass(frozen=True)
+class KernelCall:
+    """One distance-kernel call: its rows, its columns (the rows of its
+    second argument, or its first again) and its coordinates."""
+
+    rows: int
+    cols: int
+    dim: int
+
+    @property
+    def work(self):
+        """Squared differences the call sums: rows * cols * dim."""
+        return self.rows * self.cols * self.dim
+
+
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """The argument tuples of every distance-kernel call made while the
-    test runs.  Every module reaches the kernel through ``metric`` at call
+    """A ``KernelCall`` for every distance-kernel call made while the test
+    runs.  Every module reaches the kernel through ``metric`` at call
     time, so this sees all of them."""
     calls = []
     kernel = metric._squared_distances
 
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
+    def counted(p, q=None):
+        rows, dim = np.shape(getattr(p, "points", p))
+        cols = rows if q is None else np.shape(getattr(q, "points", q))[0]
+        calls.append(KernelCall(rows, cols, dim))
+        return kernel(p, q)
 
     monkeypatch.setattr(metric, "_squared_distances", counted)
     return calls

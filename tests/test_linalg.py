@@ -13,6 +13,7 @@ from metric_union import (ConvergenceError, InputError, LengthMismatchError,
                           direct_sum, mds_best_effort, mds_isometric_embed,
                           pairwise_distances, stream, sym_eigen,
                           validate_metric)
+from metric_union.linalg import _measured
 from metric_union.metric import _BLOCK, _min_plus
 
 
@@ -112,6 +113,19 @@ def test_direct_sum_pythagoras():
         direct_sum([a, PointCloud(np.zeros((3, 1)))])
     with pytest.raises(InputError):
         direct_sum([])
+
+
+def test_direct_sum_carries_a_matrix_only_when_every_summand_does():
+    rng = stream(0, "test.direct_sum")
+    a, b = (PointCloud(rng.normal(size=(6, dim))) for dim in (2, 3))
+    ma, mb = _measured(a), _measured(b)
+    for clouds in ([a, b], [ma, b], [a, mb], [ma, mb, a]):
+        assert direct_sum(clouds).sq_dist is None
+    s = direct_sum([ma, mb])
+    assert np.array_equal(s.sq_dist, ma.sq_dist + mb.sq_dist)
+    assert not s.sq_dist.flags.writeable
+    np.testing.assert_allclose(pairwise_distances(s),
+                               pairwise_distances(s.points), rtol=1e-14)
 
 
 def test_convergence_error_is_exported():

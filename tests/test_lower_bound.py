@@ -7,12 +7,13 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse import csr_matrix
 
 import metric_union.lower_bound as lower_bound
-from metric_union import (DuplicateEdge, InputError, RangeViolation,
-                          RetryBudgetExceeded, SelfLoop, SingularPencil,
-                          build_123_metric, certified_lower_bound,
-                          choose_n_for_epsilon, distortion_of, laplacian,
-                          mds_best_effort, measure_delta, ratio_check,
-                          sample_split, sandwich_margin, stream)
+from metric_union import (DuplicateEdge, InputError, MetricUnionError,
+                          RangeViolation, RetryBudgetExceeded, SelfLoop,
+                          SingularPencil, build_123_metric,
+                          certified_lower_bound, choose_n_for_epsilon,
+                          distortion_of, laplacian, mds_best_effort,
+                          measure_delta, ratio_check, sample_split,
+                          sandwich_margin, stream, validate_metric)
 
 
 def _oracle_delta(L, L1, L2):
@@ -199,6 +200,72 @@ def test_123_metric_structure():
     assert np.all(X.dist[split.e2[:, 0], split.e2[:, 1]] == 3.0)
     np.testing.assert_array_equal(P.idx_a, np.arange(n))
     np.testing.assert_array_equal(P.idx_b, np.arange(n, 2 * n))
+
+
+def _hand_split(e1, e2, n):
+    return lower_bound.BipartiteSplit(
+        n=n, e1=np.asarray(e1, dtype=np.intp).reshape(-1, 2),
+        e2=np.asarray(e2, dtype=np.intp).reshape(-1, 2), delta_star=0.5,
+        seed=0, attempts=1)
+
+
+def _validated_123(split):
+    """(dist, None) from validate_metric on the 1/2/3 matrix filled edge by
+    edge, or (None, the error type it raises)."""
+    n2 = 2 * split.n
+    D = 2.0 * (1.0 - np.eye(n2))
+    for edges, value in ((split.e1, 1.0), (split.e2, 3.0)):
+        for u, v in edges:
+            D[u, v] = D[v, u] = value
+    try:
+        return validate_metric(D).dist, None
+    except MetricUnionError as exc:
+        return None, type(exc)
+
+
+def test_123_structure_check_matches_full_validation(monkeypatch):
+    full_scans = []
+    validate = lower_bound.validate_metric
+
+    def counted(D):
+        full_scans.append(D.shape)
+        return validate(D)
+
+    monkeypatch.setattr(lower_bound, "validate_metric", counted)
+    cases = []
+    for n in (4, 8, 16, 32):
+        for seed in range(5):
+            mask = stream(seed, "test.123_mask", n).random((n, n)) < 0.5
+            e1 = lower_bound._mask_edges(mask, n)
+            e2 = lower_bound._mask_edges(~mask, n)
+            cases.append((_hand_split(e1, e2, n), 0))
+            if seed:
+                continue
+            # hand-broken: an edge inside a side (of either class) takes
+            # the full scan; an edge in both classes (the 3 wins) and a
+            # missing edge (left at 2) keep the structure, and a metric
+            cases += [
+                (_hand_split(np.vstack([e1, [[0, 1]]]), e2, n), 1),
+                (_hand_split(e1, np.vstack([e2, [[n, n + 1]]]), n), 1),
+                (_hand_split(e1, np.vstack([e2, e1[:1]]), n), 0),
+                (_hand_split(e1[1:], e2, n), 0),
+            ]
+    raised = 0
+    for split, scans in cases:
+        want, error = _validated_123(split)
+        full_scans.clear()
+        try:
+            X, _ = build_123_metric(split)
+        except MetricUnionError as exc:
+            assert type(exc) is error
+            raised += 1
+        else:
+            assert error is None
+            assert np.array_equal(X.dist, want)
+            assert not X.dist.flags.writeable
+            assert X.labels == tuple(range(2 * split.n))
+        assert len(full_scans) == scans
+    assert raised > 0
 
 
 def test_best_effort_embedding_respects_bound():
