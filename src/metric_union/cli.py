@@ -19,8 +19,8 @@ from .errors import (AuditViolation, CollapsedPairError, CoverageError,
                      EmptySideError, InconsistentDuplicate,
                      InputDistortionError, InputError, LengthMismatchError,
                      MetricUnionError, MetricValidationError, NotEuclidean)
-from .jsonio import (canonical_dumps, load_json, parse_cloud, parse_glue,
-                     parse_partition, parse_space, to_jsonable)
+from .jsonio import (_number, canonical_dumps, load_json, parse_cloud,
+                     parse_glue, parse_partition, parse_space, to_jsonable)
 from .glue import external_extend
 from .linalg import mds_best_effort, mds_isometric_embed
 from .lower_bound import (build_123_metric, certified_lower_bound,
@@ -80,11 +80,14 @@ def _error_payload(exc):
 
 def _write_report(obj, output):
     text = canonical_dumps(obj)
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:   # as load_json maps an unreadable input
+        raise InputError(f"cannot write {output}: {exc}") from None
 
 
 def _side_space(X, idx):
@@ -120,9 +123,10 @@ def cmd_embed(args):
         # each side's Lipschitz constant as embed_union will measure it;
         # the measured copy goes on unless it was rescaled, since a
         # rescaled copy can be rescaled again by an ulp
-        side_a, _, d_a, scale_a = _normalize_side(X, P.idx_a, phi_a)
-        side_b, _, d_b, scale_b = _normalize_side(X, P.idx_b, phi_b)
-        params = EmbedParams.derive(float(alpha), d_a, d_b, args.tol)
+        side_a, d_a, scale_a = _normalize_side(X, P.idx_a, phi_a)
+        side_b, d_b, scale_b = _normalize_side(X, P.idx_b, phi_b)
+        params = EmbedParams.derive(_number(alpha, "alpha"), d_a, d_b,
+                                    args.tol)
         phi_a = side_a if scale_a == 1.0 else phi_a
         phi_b = side_b if scale_b == 1.0 else phi_b
 
@@ -141,8 +145,9 @@ def cmd_embed(args):
 def cmd_cover(args):
     obj = load_json(args.input)
     X, P = _load_space_partition(obj)
-    alpha = args.alpha if args.alpha is not None else obj.get("alpha", 0.5)
-    C = build_cover(X, P, float(alpha))   # verifies the cover and lip_f
+    alpha = args.alpha if args.alpha is not None else obj.get("alpha")
+    # verifies the cover and lip_f; a JSON null means the default 1/2
+    C = build_cover(X, P, 0.5 if alpha is None else _number(alpha, "alpha"))
     return {
         "alpha": C.alpha,
         "cover_idx": C.cover_idx,
@@ -217,9 +222,8 @@ def cmd_selftest(args):
     from .acceptance import run_selftest
     results, ok = run_selftest(seed=args.seed, out=sys.stdout)
     if args.output:
-        payload = {"ok": ok, "results": [r.as_dict() for r in results]}
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(payload))
+        _write_report({"ok": ok, "results": [r.as_dict() for r in results]},
+                      args.output)
     return 0 if ok else 2
 
 
@@ -275,19 +279,17 @@ def main(argv=None) -> int:
         else:
             _write_report(result, args.output)
             code = 0
-    except _INPUT_ERRORS as exc:
-        sys.stderr.write(canonical_dumps(_error_payload(exc)))
-        code = 1
-    except AuditViolation as exc:
-        if exc.entries is not None and getattr(args, "output", None):
-            _write_report(_finite_or_text(to_jsonable(
-                {"audit": [e.as_dict() for e in exc.entries],
-                 "error": _error_payload(exc)})), args.output)
-        sys.stderr.write(canonical_dumps(_error_payload(exc)))
-        code = 2
     except MetricUnionError as exc:
         sys.stderr.write(canonical_dumps(_error_payload(exc)))
-        code = 2
+        code = 1 if isinstance(exc, _INPUT_ERRORS) else 2
+        if isinstance(exc, AuditViolation) and exc.entries is not None \
+                and getattr(args, "output", None):
+            try:   # a failed write is reported after the audit failure
+                _write_report(_finite_or_text(to_jsonable(
+                    {"audit": [e.as_dict() for e in exc.entries],
+                     "error": _error_payload(exc)})), args.output)
+            except InputError as write_exc:
+                sys.stderr.write(canonical_dumps(_error_payload(write_exc)))
     sys.stderr.write(f"runtime {time.perf_counter() - t0:.3f}s\n")
     return code
 

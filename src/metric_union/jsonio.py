@@ -135,6 +135,14 @@ def _integer(value, where):
     return int(value)
 
 
+def _number(value, where):
+    """A finite JSON number (not a boolean) -> float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= 1e308:   # also nan, inf and huge ints
+        raise InputError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _indices(value, where):
     """A JSON list of integers -> index array; never truncates 0.7 to 0."""
     if not isinstance(value, list):

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import InconsistentDuplicate, InputError, SolverStall
 from .linalg import PointCloud
-from .metric import pairwise_distances
+from . import metric
 
 __all__ = ["PartialMap", "extend_one_point", "extend_sequential"]
 
@@ -85,17 +85,16 @@ class PartialMap:
 
 
 def _measured_lip(src, tgt):
-    if src.shape[0] < 2:
-        return 0.0
-    return _lip_from(pairwise_distances(src), pairwise_distances(tgt))
+    sq = metric._squared_distances
+    return 0.0 if src.shape[0] < 2 else _lip_from(sq(src), sq(tgt))
 
 
 def _lip_from(S, T):
-    """Max ratio T[i, j] / S[i, j] over pairs of distinct sources, from the
-    source and target distance matrices; coinciding sources with distinct
-    targets raise InconsistentDuplicate."""
+    """Max ratio ||t_i - t_j|| / ||s_i - s_j|| over distinct sources,
+    from squared source and target distances ``S`` and ``T``; coinciding
+    sources with distinct targets raise InconsistentDuplicate."""
     iu, ju = np.triu_indices(S.shape[0], k=1)
-    s, t = S[iu, ju], T[iu, ju]
+    s, t = np.sqrt(S[iu, ju]), np.sqrt(T[iu, ju])
     dup = s == 0.0
     if np.any(dup & (t > 0.0)):
         k = int(np.nonzero(dup & (t > 0.0))[0][0])

@@ -20,6 +20,9 @@ __all__ = [
     "mds_best_effort", "direct_sum", "pairwise_distances",
 ]
 
+_SYM_TOL = 1e-12   # sym_eigen's asymmetry limit, relative to max|M|
+_MDS_TOL = 1e-9    # MDS eigenvalue floor, relative to the top eigenvalue
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -30,13 +33,13 @@ class PointCloud:
     derived exactly from kernel outputs by a sum or a factor scale**2,
     which rounds each entry within a few ulps of what measuring again
     gives.  Only the library fills it, and only on clouds it builds and
-    measures anyway: the result of ``mds_isometric_embed`` (measured), the
-    side clouds ``embed_union`` normalizes and the glued sides
-    ``external_extend`` hands it (private copies, measured; a rescaled
-    side carries scale**2 times its measured matrix), psi's cloud (phi_b's
-    matrix re-indexed, its placed rows measured), and ``direct_sum`` of
-    clouds that all carry one (the sum of theirs), which makes
-    ``embed_union``'s ``full``.  A cloud is never written after it is
+    measures anyway: both MDS results (measured), the side clouds
+    ``embed_union`` normalizes and the glued sides ``external_extend``
+    hands it (private copies, measured; a rescaled side carries scale**2
+    times its measured matrix), psi's cloud (phi_b's matrix re-indexed,
+    its placed rows measured), and ``direct_sum`` of clouds that all carry
+    one (the sum of theirs), which makes ``embed_union``'s ``full``, whose
+    rows glue's f1 and f2 re-index.  A cloud is never written after it is
     built, so a caller's cloud never gains one.  ``pairwise_distances``,
     ``distortion_of`` and ``ratio_check`` read it instead of measuring
     again; ``take`` and ``scaled`` return clouds without one.
@@ -97,10 +100,10 @@ class SymEigen:
     vectors: np.ndarray  # columns are eigenvectors, aligned with values
 
 
-def sym_eigen(M, sym_tol=1e-12) -> SymEigen:
+def sym_eigen(M) -> SymEigen:
     """Checked symmetric eigendecomposition.
 
-    Raises NotSymmetricError if max|M - M.T| exceeds sym_tol * max|M|,
+    Raises NotSymmetricError if max|M - M.T| exceeds 1e-12 * max|M|,
     ConvergenceError if the backend fails or the residual checks
     (reconstruction, orthonormality) do not hold.
     """
@@ -109,7 +112,7 @@ def sym_eigen(M, sym_tol=1e-12) -> SymEigen:
         raise InputError(f"matrix must be square, got shape {A.shape}")
     scale = float(np.abs(A).max()) if A.size else 0.0
     gap = float(np.abs(A - A.T).max()) if A.size else 0.0
-    if gap > sym_tol * max(scale, 1e-300):
+    if gap > _SYM_TOL * max(scale, 1e-300):
         raise NotSymmetricError(gap)
     A = 0.5 * (A + A.T)
     try:
@@ -140,11 +143,11 @@ def _gram_from_distances(D):
     return -0.5 * (D2 - row - col + tot)
 
 
-def mds_isometric_embed(X: FiniteMetricSpace, tol=1e-9) -> PointCloud:
+def mds_isometric_embed(X: FiniteMetricSpace) -> PointCloud:
     """Exact Euclidean realization of a metric via classical MDS.
 
     Only succeeds when the metric is Euclidean-realizable: the centered
-    Gram matrix must be positive semidefinite up to ``tol`` (relative to
+    Gram matrix must be positive semidefinite up to 1e-9 (relative to
     its top eigenvalue), and the realized pairwise distances must match
     the input to 1e-8 relative.  Raises NotEuclidean otherwise.  The
     result carries the squared distances that check measured.
@@ -155,7 +158,7 @@ def mds_isometric_embed(X: FiniteMetricSpace, tol=1e-9) -> PointCloud:
         return PointCloud(np.zeros((1, 0)))
     eig = sym_eigen(_gram_from_distances(D))
     lam_max = float(max(eig.values[0], 0.0))
-    thresh = tol * lam_max
+    thresh = _MDS_TOL * lam_max
     lam_min = float(eig.values[-1])
     if lam_min < -max(thresh, 1e-300):
         raise NotEuclidean(lam_min)
@@ -171,15 +174,15 @@ def mds_isometric_embed(X: FiniteMetricSpace, tol=1e-9) -> PointCloud:
 def mds_best_effort(X: FiniteMetricSpace) -> PointCloud:
     """Classical MDS with negative eigenvalues clipped to zero.
 
-    Always returns a cloud; it realizes the metric only when the metric
-    happens to be Euclidean.  Useful as a deliberately lossy embedding.
+    Always returns a cloud, which carries its squared distances and
+    realizes the metric only when it is Euclidean: a lossy embedding.
     """
     if X.n == 1:
         return PointCloud(np.zeros((1, 0)))
     eig = sym_eigen(_gram_from_distances(X.dist))
     lam = np.clip(eig.values, 0.0, None)
     keep = lam > 0.0
-    return PointCloud(eig.vectors[:, keep] * np.sqrt(lam[keep]))
+    return _measured(PointCloud(eig.vectors[:, keep] * np.sqrt(lam[keep])))
 
 
 def direct_sum(clouds) -> PointCloud:

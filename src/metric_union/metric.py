@@ -365,19 +365,20 @@ def distortion_of(X: FiniteMetricSpace, images, subset=None) -> DistortionReport
     subset = np.asarray(subset, dtype=np.intp)
     if m != subset.size:
         raise InputError(f"{m} image rows for {subset.size} points")
-    return _distortion_report(X.dist[np.ix_(subset, subset)],
-                              pairwise_distances(images), subset)
+    sq = getattr(images, "sq_dist", None)
+    sq = _squared_distances(images) if sq is None else sq
+    return _distortion_report(X.dist[np.ix_(subset, subset)], sq, subset)
 
 
-def _distortion_report(dm, de, subset):
-    """DistortionReport from the true (``dm``) and image (``de``) distance
-    matrices over ``subset``; raises CollapsedPairError."""
+def _distortion_report(dm, sq, subset):
+    """DistortionReport from the true (``dm``) and squared image (``sq``)
+    distance matrices over ``subset``; raises CollapsedPairError."""
     m = subset.size
     if m < 2:
         return DistortionReport(1.0, 1.0, 1.0, None, None, int(m))
     iu, ju = np.triu_indices(m, k=1)
     d_true = dm[iu, ju]
-    d_img = de[iu, ju]
+    d_img = np.sqrt(sq[iu, ju])
 
     collapsed = np.nonzero((d_img == 0.0) & (d_true > 0.0))[0]
     if collapsed.size:

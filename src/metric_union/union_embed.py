@@ -14,20 +14,20 @@ Every inequality the analysis relies on is re-measured on the produced
 coordinates and recorded as a named AuditEntry; any failing entry raises
 AuditViolation carrying the full entry list.
 
-``embed_union`` measures each side's image distances at most once, when
-it normalizes that side (not at all when the side cloud already carries
-them, as ``mds_isometric_embed``'s result and the glued sides do), and
-the normalized side clouds carry them on; a rescaled side carries
-scale**2 times them.  The side checks, the partial map's Lipschitz
-constant, the domination entries and psi's own matrix re-index them
-(psi measures only its placed rows).  The direct sum's squared distances
-are the sum of its summands' (psi_Delta's single coordinate is measured),
-since squared distances add exactly across summands, so no cloud with
-more than one coordinate is measured again.  The returned ``full``
-carries that sum, for ``distortion_of`` and ``ratio_check`` to reuse.
-The distance kernel's entries depend only on their two rows, so
-re-indexed entries are bit for bit what measuring again gives; summed
-and rescaled ones round within a few ulps of it.
+``embed_union`` measures each side's image distances at most once (not
+at all when the side cloud carries them, as the MDS results and the glued
+sides do), and the normalized sides carry them on; a rescaled side
+carries scale**2 times them.  The side checks, the partial map's
+Lipschitz constant, the domination entries and psi's own matrix re-index
+them (psi measures only its placed rows).  Squared distances add exactly
+across summands, so ``full`` carries the sum of its summands' matrices
+(psi_Delta's single coordinate is measured) for ``distortion_of``,
+``ratio_check`` and glue's f1 and f2 to reuse.  Every scan reads squared
+distances and roots only the entries it selects; one scan of all pairs
+gives the report and the full.noncontract and full.expansion entries.
+Kernel entries depend only on their two rows, so re-indexed entries are
+bit for bit what measuring again gives; summed and rescaled ones round
+within a few ulps of it.
 """
 
 import math
@@ -41,7 +41,7 @@ from .errors import AuditViolation, InputDistortionError, InputError
 from .kirszbraun import PartialMap, _lip_from, extend_sequential
 from .linalg import PointCloud, _carrying, _measured, direct_sum
 from .metric import (DistortionReport, FiniteMetricSpace, UnionPartition,
-                     _distortion_report, pairwise_distances)
+                     _distortion_report)
 # no longer called here, but kept as a module attribute: the benchmark's
 # traced run wraps union_embed.distortion_of by name (bench/spans.py)
 from .metric import distortion_of  # noqa: F401
@@ -178,49 +178,37 @@ def _as_cloud(obj):
     return obj if isinstance(obj, PointCloud) else PointCloud(np.asarray(obj))
 
 
-def _check_side(X, idx, dm, side, lip, rel=_AUDIT_REL):
-    """Verify a side embedding, given its image distance matrix ``dm``, is
-    non-contracting with Lipschitz <= lip."""
-    rep = _distortion_report(X.dist[np.ix_(idx, idx)], dm, idx)
-    if rep.contraction > 1.0 + rel:
+def _check_side(X, idx, sq, side, lip):
+    """Verify a side embedding, given its squared image distance matrix
+    ``sq``, is non-contracting with Lipschitz <= lip."""
+    rep = _distortion_report(X.dist[np.ix_(idx, idx)], sq, idx)
+    if rep.contraction > 1.0 + _AUDIT_REL:
         raise InputDistortionError(side, rep.contraction, 1.0,
                                    witness=rep.contraction_pair)
-    if rep.expansion > lip * (1.0 + rel):
+    if rep.expansion > lip * (1.0 + _AUDIT_REL):
         raise InputDistortionError(side, rep.expansion, lip,
                                    witness=rep.expansion_pair)
-    return rep
 
 
 def _normalize_side(X, idx, cloud):
     """Rescale a slightly contracting side embedding to non-contracting
-    form and measure its Lipschitz constant.  Returns (cloud, dist, lip,
-    scale): ``cloud`` a private copy, rescaled when needed, that carries
-    its squared distances, and ``dist`` its image distance matrix.  The
-    caller's cloud is measured only when it carries no matrix, and is
-    never written; a rescaled copy carries scale**2 times that matrix.
+    form and measure its Lipschitz constant.  Returns (cloud, lip, scale),
+    ``cloud`` a private copy, rescaled when needed, that carries its
+    squared distances: measured only when the caller's cloud (never
+    written) carries none, and scale**2 times them when rescaled.
     """
     if cloud.m != idx.size:
         raise InputError(f"{cloud.m} image rows for {idx.size} points")
     dx = X.dist[np.ix_(idx, idx)]
     side = _measured(cloud)
-    dm = pairwise_distances(side)
-    rep = _distortion_report(dx, dm, idx)
+    rep = _distortion_report(dx, side.sq_dist, idx)
     scale = 1.0
     if rep.contraction > 1.0:
         scale = rep.contraction
         side = _carrying(cloud.scaled(scale),
                          scale * scale * side.sq_dist)
-        dm = pairwise_distances(side)
-        rep = _distortion_report(dx, dm, idx)
-    return side, dm, max(rep.expansion, 1.0), scale
-
-
-def _extreme(vals, pairs, sense):
-    """(measured, witness) of the max ("upper") or min ("lower") entry."""
-    if vals.size == 0:
-        return None, None
-    k = int(np.argmax(vals)) if sense == "upper" else int(np.argmin(vals))
-    return float(vals[k]), (int(pairs[0][k]), int(pairs[1][k]))
+        rep = _distortion_report(dx, side.sq_dist, idx)
+    return side, max(rep.expansion, 1.0), scale
 
 
 def _same_side_pairs(idx):
@@ -239,13 +227,12 @@ class _Collector:
         self.entries = []
 
     def add(self, name, sense, vals, pairs, bound):
-        measured, witness = _extreme(np.asarray(vals, dtype=np.float64),
-                                     pairs, sense)
-        if measured is None:
-            return
-        self.entries.append(AuditEntry(name=name, sense=sense,
-                                       measured=measured, bound=float(bound),
-                                       witness=witness))
+        # the max ("upper") or min ("lower") of vals, with its pair
+        vals = np.asarray(vals, dtype=np.float64)
+        if vals.size:
+            k = int(np.argmax(vals) if sense == "upper" else np.argmin(vals))
+            self.scalar(name, sense, vals[k], bound,
+                        (int(pairs[0][k]), int(pairs[1][k])))
 
     def scalar(self, name, sense, measured, bound, witness=None):
         self.entries.append(AuditEntry(name=name, sense=sense,
@@ -293,9 +280,8 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
         raise InputError(f"phi_a has {phi_a.m} rows for {ia.size} A-points")
     if phi_b.m != ib.size:
         raise InputError(f"phi_b has {phi_b.m} rows for {ib.size} B-points")
-    da, db = pairwise_distances(phi_a), pairwise_distances(phi_b)
-    _check_side(X, ia, da, "A", params.d_a)
-    _check_side(X, ib, db, "B", params.d_b)
+    _check_side(X, ia, phi_a.sq_dist, "A", params.d_a)
+    _check_side(X, ib, phi_b.sq_dist, "B", params.d_b)
 
     C = build_cover(X, P, params.alpha)
     row_a = {int(s): k for k, s in enumerate(ia)}
@@ -306,7 +292,8 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     sources = phi_a.take(ca)
     targets = phi_b.take(nb)
     gmap = PartialMap(sources=sources, targets=targets,
-                      lip=_lip_from(da[np.ix_(ca, ca)], db[np.ix_(nb, nb)]))
+                      lip=_lip_from(phi_a.sq_dist[np.ix_(ca, ca)],
+                                    phi_b.sq_dist[np.ix_(nb, nb)]))
 
     rest = np.setdiff1d(ia, C.cover_idx)
     psi = np.zeros((X.n, phi_b.dim))
@@ -400,10 +387,11 @@ def _claim_case_bound_sq(d, ra, rb, beta):
         default=delta_sq)
 
 
-def _full_audit(X, P, params, full, phi_a, phi_b, psi_delta):
-    """Entries of the direct sum.  Image distances are the roots of the
-    entries each check selects from the carried squared matrices of
-    ``full`` and of the normalized sides ``phi_a`` and ``phi_b``."""
+def _full_audit(X, P, params, full, report, phi_a, phi_b, psi_delta):
+    """Entries of the direct sum, with image distances rooted from the
+    entries each check selects of the squared matrices carried by ``full``
+    and the normalized sides; the all-pairs entries are ``report``'s, with
+    its witnesses."""
     ia, ib = P.idx_a, P.idx_b
     audit = _Collector()
     Dx = X.dist
@@ -418,14 +406,14 @@ def _full_audit(X, P, params, full, phi_a, phi_b, psi_delta):
     audit.add("full.side_b_sq", "upper", (img_b / Dx[pb]) ** 2, pb, sq_b)
     audit.add("full.cross_sq", "upper", (img_x / Dx[px]) ** 2, px, sq_x)
 
-    iu, ju = np.triu_indices(X.n, k=1)
-    ratio = np.sqrt(sq[iu, ju]) / Dx[iu, ju]
-    audit.add("full.noncontract", "lower", ratio, (iu, ju), 1.0)
     head = headline_bound(params)
-    audit.add("full.expansion", "upper", ratio, (iu, ju), head)
+    if report.n_points > 1:   # a one-point space has no pair
+        audit.scalar("full.noncontract", "lower", 1.0 / report.contraction,
+                     1.0, report.contraction_pair)
+        audit.scalar("full.expansion", "upper", report.expansion, head,
+                     report.expansion_pair)
     audit.scalar("full.headline_consistent", "upper",
                  math.sqrt(max(sq_a, sq_b, sq_x)), head)
-    del iu, ju, ratio   # all pairs: freed before the cross-pair entries
 
     # the direct sum can only add to the per-side coordinate distances
     ta = np.triu_indices(ia.size, k=1)
@@ -477,8 +465,8 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     are never written.
     """
     phi_a, phi_b = _as_cloud(phi_a), _as_cloud(phi_b)
-    phi_a, _, d_a, scale_a = _normalize_side(X, P.idx_a, phi_a)
-    phi_b, _, d_b, scale_b = _normalize_side(X, P.idx_b, phi_b)
+    phi_a, d_a, scale_a = _normalize_side(X, P.idx_a, phi_a)
+    phi_b, d_b, scale_b = _normalize_side(X, P.idx_b, phi_b)
     if params is None:
         params = EmbedParams.derive(select_alpha(d_a, d_b), d_a, d_b, tol)
 
@@ -499,9 +487,9 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
                                (res_a.cloud, res_b.cloud, psi_delta))
     audit = res_a.entries + res_b.entries
     del res_a, res_b
-    report = _distortion_report(X.dist, pairwise_distances(full),
-                                np.arange(X.n))
-    audit += _full_audit(X, P, params, full, phi_a, phi_b, psi_delta)
+    report = _distortion_report(X.dist, full.sq_dist, np.arange(X.n))
+    audit += _full_audit(X, P, params, full, report, phi_a, phi_b,
+                         psi_delta)
     _raise_if_failing(audit)
     return UnionEmbedding(psi_a=psi_a, psi_b=psi_b,
                           psi_delta=psi_delta, full=full, report=report,

@@ -131,8 +131,8 @@ def test_embed_alpha_measures_each_side_once(tmp_path, capsys,
         else:
             assert len(kernel_calls) <= 9
         phi_a, phi_b = PointCloud(phi_a), PointCloud(inst.phi_b.points)
-        d_a = _normalize_side(X, P.idx_a, phi_a)[2]
-        d_b = _normalize_side(X, P.idx_b, phi_b)[2]
+        d_a = _normalize_side(X, P.idx_a, phi_a)[1]
+        d_b = _normalize_side(X, P.idx_b, phi_b)[1]
         full = embed_union(X, P, phi_a, phi_b, params=EmbedParams.derive(
             0.5, d_a, d_b, 1e-7)).as_dict()
         assert out == canonical_dumps({
@@ -292,16 +292,63 @@ def test_embed_rejects_non_integer_fields(tmp_path, capsys, bad):
     assert _stderr_payload(capsys)["error"] == "InputError"
 
 
-def test_non_finite_audit_values_end_in_one_error_line(tmp_path, capsys):
-    # distances of 1e200 overflow the audit's squared ratios: the
-    # AuditViolation witness holds measured = bound = inf
+@pytest.mark.parametrize("alpha", ["abc", [0.5], True])
+@pytest.mark.parametrize("command", ["embed", "cover"])
+def test_json_alpha_must_be_a_number(tmp_path, capsys, embed_input,
+                                     command, alpha):
+    # a string or a list crashed float(), and true was taken as 1.0
+    obj = load_json(embed_input[0])
+    path = _write(tmp_path, "alpha.json", dict(obj, alpha=alpha))
+    assert main([command, "--input", path]) == 1
+    assert _stderr_payload(capsys)["error"] == "InputError"
+
+
+def test_json_alpha_null_means_absent(tmp_path, capsys, embed_input):
+    # embed picks alpha automatically, cover takes 1/2
+    path = embed_input[0]
+    nulled = _write(tmp_path, "null.json", dict(load_json(path), alpha=None))
+    for command, default in (("embed", []), ("cover", ["--alpha", "0.5"])):
+        assert main([command, "--input", path, *default]) == 0
+        expected = capsys.readouterr().out
+        assert main([command, "--input", nulled]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, embed_input):
+    # as an unreadable --input is: exit 1 and an InputError, no traceback
+    check = _write(tmp_path, "m.json", {"dist": [[0, 1], [1, 0]]})
+    out = str(tmp_path / "missing" / "out.json")
+    for argv in (["check-metric", "--input", check],
+                 ["embed", "--input", embed_input[0]]):
+        assert main([*argv, "--output", out]) == 1
+        assert _stderr_payload(capsys)["error"] == "InputError"
+
+
+def _overflowing_input(tmp_path):
+    """An embed input whose distances of 1e200 overflow the audit's
+    squared ratios: its AuditViolation holds measured = bound = inf."""
     big = 1e200
-    path = _write(tmp_path, "huge.json", {
+    return _write(tmp_path, "huge.json", {
         "space": {"dist": [[0, big, big], [big, 0, big], [big, big, 0]]},
         "partition": {"a": [0, 1], "b": [2]},
         "phi_a": {"points": [[0.0], [big]]},
         "phi_b": {"points": [[0.0]]},
     })
+
+
+def test_unwritable_output_keeps_the_audit_failure(tmp_path, capsys):
+    # the audit failure comes first and keeps exit code 2
+    out = str(tmp_path / "missing" / "out.json")
+    assert main(["embed", "--input", _overflowing_input(tmp_path),
+                 "--output", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and err[2].startswith("runtime")
+    assert json.loads(err[0])["error"] == "AuditViolation"
+    assert json.loads(err[1])["error"] == "InputError"
+
+
+def test_non_finite_audit_values_end_in_one_error_line(tmp_path, capsys):
+    path = _overflowing_input(tmp_path)
     out_file = tmp_path / "huge.out.json"
     assert main(["embed", "--input", path, "--output", str(out_file)]) == 2
     err = capsys.readouterr().err.splitlines()

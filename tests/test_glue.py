@@ -6,8 +6,8 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import cdist
 
 import metric_union.glue as glue
-from metric_union import (InputError, external_extend, glue_instance,
-                          glued_metric, pairwise_distances,
+from metric_union import (InputError, distortion_of, external_extend,
+                          glue_instance, glued_metric, pairwise_distances,
                           sample_glue_instance)
 
 
@@ -156,9 +156,10 @@ def test_glue_rejects_bad_point_arrays():
 
 def test_external_extend_measures_each_cloud_once(kernel_calls):
     # U' and V' once each, then only what embed_union cannot re-index
-    # (psi's placed rows, the extension's final gate, full) and f1's
-    # report: 11 and 8 calls when the sides and f2 were measured again
-    for sizes, most in (((40, 40, 40, 3, 4), 7), ((12, 10, 9, 2, 3), 4)):
+    # (psi's placed rows, the extension's final gate, psi_Delta); f1 and
+    # f2 re-index full's matrix: 11 and 8 calls when the sides and f2
+    # were measured again, 7 and 4 when f1 was
+    for sizes, most in (((40, 40, 40, 3, 4), 6), ((12, 10, 9, 2, 3), 3)):
         G = sample_glue_instance(*sizes, seed=4, wobble=0.2)
         kernel_calls.clear()
         external_extend(G)
@@ -217,6 +218,28 @@ def test_f2_certificates_match_the_pairwise_scan(seed, certified):
     # rounding of the two reciprocals
     assert abs(measured - shortfall) <= 2 * np.spacing(max(1.0,
                                                            1.0 - shortfall))
+
+
+def _ulps(a, b):
+    """|a - b| in units of b's relative rounding."""
+    return abs(a - b) / (np.finfo(float).eps * abs(b))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 7])
+def test_f1_certificate_matches_measuring_f1(seed, certified):
+    # f1's report re-indexes full's matrix, a sum of its summands', so it
+    # rounds within a few ulps of measuring f1 again; its witness may move
+    # between pairs that tie within rounding, but attains the maximum
+    G = sample_glue_instance(8, 6, 7, 2, 3, seed=seed, wobble=0.3)
+    ext = external_extend(G)
+    X, P = glued_metric(G)
+    again = distortion_of(X, ext.f1.points, subset=P.idx_a)
+    assert _ulps(ext.distortion_f1, again.distortion) <= 8
+    witness, measured = certified["glue.extension_bound_f1"]
+    assert measured == ext.distortion_f1
+    i, j = witness
+    fresh = pairwise_distances(ext.f1.points[[i, j]])[0, 1] / X.dist[i, j]
+    assert _ulps(fresh, again.expansion) <= 8
 
 
 def test_f2_certificates_with_one_v_row(certified):

@@ -11,7 +11,7 @@ from metric_union import (AuditViolation, EmbedParams, InputDistortionError,
                           PointCloud, SolverStall, build_123_metric,
                           build_partition, build_psi, distort_sides,
                           distortion_of, embed_union, external_extend,
-                          headline_bound, mds_isometric_embed,
+                          headline_bound, mds_best_effort, mds_isometric_embed,
                           pairwise_distances, ratio_check,
                           sample_glue_instance, sample_split, select_alpha,
                           stream, union_instance, validate_metric)
@@ -206,10 +206,10 @@ def _ulps_close(a, b, ulps=8):
 def test_carried_matrix_is_the_kernel_output(split_123, small):
     X, P, phi_a, phi_b = split_123
     emb = embed_union(X, P, phi_a, phi_b)
-    side, _, _, scale = _normalize_side(X, P.idx_a, phi_a)
+    side, _, scale = _normalize_side(X, P.idx_a, phi_a)
     assert scale > 1.0   # the MDS simplex contracts by a few ulps
-    kept, _, _, same = _normalize_side(small.space, small.partition.idx_a,
-                                       small.phi_a)
+    kept, _, same = _normalize_side(small.space, small.partition.idx_a,
+                                    small.phi_a)
     assert same == 1.0
     inst = union_instance(30, 25, 3, 4, seed=1)   # psi places A points
     psi = build_psi(inst.space, inst.partition, inst.phi_a, inst.phi_b,
@@ -280,6 +280,52 @@ def test_spectral_leg_measures_each_cloud_once(kernel_calls, split_123):
     assert _ulps_close(1.0 / ratio[report.contraction_pair],
                        again.contraction)
     assert _ulps_close(ratios, ratio_check(split, plain))
+
+
+def test_spectral_leg_kernel_budget(kernel_calls):
+    # one whole leg at n = 64: the two MDS sides, embed_union (psi_Delta's
+    # coordinate) and the best-effort cloud measure once each, and
+    # distortion_of and ratio_check reuse what both clouds carry: 4 calls
+    # (5 when the best-effort cloud was measured by each of them)
+    split = sample_split(64, 0)
+    X, P = build_123_metric(split)
+    kernel_calls.clear()
+    phi_a, phi_b = (mds_isometric_embed(validate_metric(X.sub(idx)))
+                    for idx in (P.idx_a, P.idx_b))
+    emb = embed_union(X, P, phi_a, phi_b)
+    best = mds_best_effort(X)
+    for cloud in (emb.full, best):
+        report = distortion_of(X, cloud)
+        ratios = ratio_check(split, cloud)
+    assert len(kernel_calls) == 4
+    # the carried matrix is the kernel's output: the same report and
+    # ratios, bit for bit, as measuring a plain copy again
+    plain = best.points.copy()
+    assert distortion_of(X, plain) == report
+    assert ratio_check(split, plain) == ratios
+
+
+def test_full_pair_entries_are_the_report(small, split_123):
+    # full.noncontract and full.expansion come from the one all-pairs
+    # scan that gives the report, with its witnesses
+    for X, P, phi_a, phi_b in ((small.space, small.partition, small.phi_a,
+                                small.phi_b), split_123):
+        emb = embed_union(X, P, phi_a, phi_b)
+        entry = {e.name: e for e in emb.audit}
+        lower, upper = entry["full.noncontract"], entry["full.expansion"]
+        assert lower.measured == 1.0 / emb.report.contraction
+        assert lower.witness == emb.report.contraction_pair
+        assert upper.measured == emb.report.expansion
+        assert upper.witness == emb.report.expansion_pair
+    # a one-point space has no pair: no pairwise entry, trivial report
+    X = validate_metric([[0.0]])
+    emb = embed_union(X, build_partition(X, [0], [0]), np.zeros((1, 1)),
+                      np.zeros((1, 1)))
+    assert [e.name for e in emb.audit] == ["psi_a.g_lip", "psi_b.g_lip",
+                                           "full.headline_consistent"]
+    assert emb.report.as_dict() == {
+        "expansion": 1.0, "contraction": 1.0, "distortion": 1.0,
+        "expansion_pair": None, "contraction_pair": None, "n_points": 1}
 
 
 def _spread_pairs(n, dim, seed):
