@@ -1,15 +1,31 @@
 """Seeded generators for two-sided metric spaces with known side geometry.
 
 Each instance samples side A in R^dim_a and side B in R^dim_b, keeps
-intra-side distances Euclidean, draws cross distances uniformly from
-[M, 2M] with M the larger side diameter, and closes the whole matrix
-under shortest paths.  Cross weights that large admit no shortcut through
-the other side, so both sides stay isometrically embedded by their sampled
-coordinates while cross distances are free to be non-Euclidean.
+intra-side distances Euclidean, and draws cross distances uniformly from
+[M, 2M] with M the larger side diameter.  Cross weights that large admit
+no shortcut through the other side, so both sides stay isometrically
+embedded by their sampled coordinates while cross distances are free to
+be non-Euclidean.
 
 Overlap points (shared by both sides) get coordinates in the smaller of
 the two dimensions, zero-padded into each side's space, which keeps the
 two side geometries consistent on shared pairs.
+
+The drawn weights are closed under shortest paths by one crossing: a
+shortest path from an A-only to a B-only point runs inside side A, takes
+one step from a point of A to a point of B (a cross weight, or a side
+edge into a shared point, whose crossing costs nothing), and runs inside
+side B.  A path that leaves a side and comes back is never shorter than
+staying: out and back through shared points s, s' costs at least
+d(s, s'), a side distance, and any other excursion takes a cross weight,
+at least M, which no side distance exceeds.  So the side blocks stay as
+drawn, the cross block is two min-plus products, and ``validate_metric``
+certifies the result.  ``shortest_path_closure`` (Floyd–Warshall over
+all points) stays as its test oracle: the two agree bit for bit on every
+recipe the package, its demos, tests and bench use.  They can differ by
+an ulp where Floyd–Warshall's sum along near-collinear side points
+rounds below the drawn distance (seen on one-dimensional sides); the
+one-crossing closure keeps the drawn value.
 """
 
 from dataclasses import dataclass
@@ -19,8 +35,8 @@ import numpy as np
 from .errors import InputError
 from .glue import GlueInstance, glue_instance
 from .linalg import PointCloud
-from .metric import (FiniteMetricSpace, UnionPartition, build_partition,
-                     pairwise_distances, validate_metric)
+from .metric import (FiniteMetricSpace, UnionPartition, _min_plus,
+                     build_partition, pairwise_distances, validate_metric)
 from .seeds import stream
 
 __all__ = ["Instance", "shortest_path_closure", "union_instance",
@@ -38,7 +54,11 @@ class Instance:
 
 
 def shortest_path_closure(w) -> np.ndarray:
-    """All-pairs shortest paths of a symmetric weight matrix."""
+    """All-pairs shortest paths of a symmetric weight matrix.
+
+    Floyd–Warshall, O(n^3).  ``union_instance`` no longer calls it; it is
+    the oracle its one-crossing closure is tested against.
+    """
     d = np.array(w, dtype=np.float64)
     n = d.shape[0]
     for k in range(n):
@@ -46,14 +66,9 @@ def shortest_path_closure(w) -> np.ndarray:
     return d
 
 
-def union_instance(n_a, n_b, dim_a, dim_b, seed, overlap=0,
-                   name="testgen") -> Instance:
-    """Random two-sided instance with ``overlap`` shared points."""
-    if n_a < 1 or n_b < 1:
-        raise InputError("both sides need at least one point")
-    if not (0 <= overlap <= min(n_a, n_b)):
-        raise InputError(f"overlap must lie in [0, {min(n_a, n_b)}], "
-                         f"got {overlap}")
+def _drawn(n_a, n_b, dim_a, dim_b, seed, overlap, name):
+    """The drawn weights before closure, with both sides' indices and
+    coordinates: Euclidean side blocks, cross weights in [M, 2M]."""
     rng = stream(seed, name)
     o = int(overlap)
     only_a, only_b = n_a - o, n_b - o
@@ -81,9 +96,31 @@ def union_instance(n_a, n_b, dim_a, dim_b, seed, overlap=0,
         cross = rng.uniform(m_scale, 2.0 * m_scale, size=(only_a, only_b))
         w[o : n_a, n_a :] = cross
         w[n_a :, o : n_a] = cross.T
+    return w, idx_a, idx_b, pts_a, pts_b
 
-    dist = shortest_path_closure(w)
-    X = validate_metric(dist)
+
+def union_instance(n_a, n_b, dim_a, dim_b, seed, overlap=0,
+                   name="testgen") -> Instance:
+    """Random two-sided instance with ``overlap`` shared points.
+
+    The cross block between A-only and B-only points is closed by one
+    crossing (see the module docstring), (D_A ⊗ K) ⊗ D_B in the min-plus
+    product, with D_A and D_B the drawn side blocks and K the drawn
+    weights from A to B, in which a shared point is a zero-cost crossing.
+    """
+    if n_a < 1 or n_b < 1:
+        raise InputError("both sides need at least one point")
+    if not (0 <= overlap <= min(n_a, n_b)):
+        raise InputError(f"overlap must lie in [0, {min(n_a, n_b)}], "
+                         f"got {overlap}")
+    w, idx_a, idx_b, pts_a, pts_b = _drawn(n_a, n_b, dim_a, dim_b, seed,
+                                           overlap, name)
+    o = int(overlap)
+    cross = _min_plus(_min_plus(w[o:n_a, :n_a], w[np.ix_(idx_a, idx_b)]),
+                      w[idx_b, n_a:])
+    w[o:n_a, n_a:] = cross
+    w[n_a:, o:n_a] = cross.T
+    X = validate_metric(w)
     P = build_partition(X, idx_a, idx_b)
     return Instance(space=X, partition=P,
                     phi_a=PointCloud(pts_a), phi_b=PointCloud(pts_b))

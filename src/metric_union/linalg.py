@@ -143,6 +143,12 @@ def _gram_from_distances(D):
     return -0.5 * (D2 - row - col + tot)
 
 
+def _one_point():
+    """The MDS cloud of a one-point space: no coordinates, and its 1x1
+    zero matrix of squared distances."""
+    return _carrying(PointCloud(np.zeros((1, 0))), np.zeros((1, 1)))
+
+
 def mds_isometric_embed(X: FiniteMetricSpace) -> PointCloud:
     """Exact Euclidean realization of a metric via classical MDS.
 
@@ -155,7 +161,7 @@ def mds_isometric_embed(X: FiniteMetricSpace) -> PointCloud:
     D = X.dist
     n = X.n
     if n == 1:
-        return PointCloud(np.zeros((1, 0)))
+        return _one_point()
     eig = sym_eigen(_gram_from_distances(D))
     lam_max = float(max(eig.values[0], 0.0))
     thresh = _MDS_TOL * lam_max
@@ -178,7 +184,7 @@ def mds_best_effort(X: FiniteMetricSpace) -> PointCloud:
     realizes the metric only when it is Euclidean: a lossy embedding.
     """
     if X.n == 1:
-        return PointCloud(np.zeros((1, 0)))
+        return _one_point()
     eig = sym_eigen(_gram_from_distances(X.dist))
     lam = np.clip(eig.values, 0.0, None)
     keep = lam > 0.0

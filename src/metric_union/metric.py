@@ -288,9 +288,12 @@ def _min_plus(a, b):
     at most ``_BLOCK`` (8 MB), or one row of one k when that is larger, so
     a small product allocates little and memory beyond the result does not
     grow with the inputs.  Sums and minima are exact, so the result does
-    not depend on the blocking.
+    not depend on the blocking.  An empty shared index gives +inf (the
+    minimum over nothing) and no columns give an empty result.
     """
     cols = b.shape[1]
+    if cols == 0 or b.shape[0] == 0:
+        return np.full((a.shape[0], cols), np.inf)
     budget = min(_BLOCK, a.shape[0] * cols)
     ks = min(b.shape[0], max(1, budget // cols))
     rows = max(1, budget // (ks * cols))

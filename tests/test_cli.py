@@ -59,6 +59,20 @@ def test_check_metric_triangle_violation(tmp_path, capsys):
     assert w["total"] == 2
 
 
+@pytest.mark.parametrize("command", ["check-metric", "embed", "cover"])
+def test_asymmetric_dist_is_refused_with_a_witness(tmp_path, capsys,
+                                                   command):
+    dist = [[0, 1, 2], [1, 0, 1.5], [2, 1, 0]]
+    obj = {"dist": dist} if command == "check-metric" else {
+        "space": {"dist": dist}, "partition": {"a": [0, 1], "b": [2]}}
+    path = _write(tmp_path, "asym.json", obj)
+    assert main([command, "--input", path]) == 1
+    payload = _stderr_payload(capsys)
+    assert payload["error"] == "AsymmetryError"
+    w = payload["witness"]
+    assert (w["i"], w["j"], w["gap"], w["total"]) == (1, 2, 0.5, 1)
+
+
 def test_embed_with_coordinates(tmp_path, capsys, embed_input):
     path, inst = embed_input
     out_file = tmp_path / "emb.json"

@@ -103,6 +103,14 @@ def test_mds_rejects_star_metric():
     assert np.abs(rep_dist - D).max() > 1e-3  # lossy, as expected
 
 
+@pytest.mark.parametrize("mds", [mds_isometric_embed, mds_best_effort])
+def test_mds_of_one_point_carries_its_matrix(mds):
+    cloud = mds(validate_metric([[0.0]]))
+    assert cloud.points.shape == (1, 0)
+    assert np.array_equal(cloud.sq_dist, [[0.0]])
+    assert not cloud.sq_dist.flags.writeable
+
+
 def test_direct_sum_pythagoras():
     a = PointCloud(np.array([[0.0], [3.0]]))
     b = PointCloud(np.array([[0.0], [4.0]]))
@@ -222,6 +230,17 @@ def test_min_plus_independent_of_blocks():
         M = _min_plus(a, b)
         assert M.shape == (a.shape[0], b.shape[1])
         assert np.array_equal(M, _one_shot_min_plus(a, b))
+
+
+def test_min_plus_with_no_columns_is_empty():
+    a = stream(0, "test.min_plus_empty").uniform(size=(3, 3))
+    assert _min_plus(a, np.zeros((3, 0))).shape == (3, 0)
+
+
+def test_min_plus_over_no_shared_index_is_inf():
+    M = _min_plus(np.zeros((3, 0)), np.zeros((0, 4)))
+    assert M.shape == (3, 4)
+    assert np.all(M == np.inf)
 
 
 def test_min_plus_memory_is_bounded():
