@@ -18,16 +18,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cover import build_cover, certify_f_lipschitz, f_lip_bound, \
-    verify_cover
+from .cover import build_cover, f_lip_bound
 from .errors import (AuditViolation, MetricUnionError, RetryBudgetExceeded,
                      SolverStall)
 from .glue import external_extend, glue_instance, glued_metric
 from .instances import distort_sides, sample_glue_instance, union_instance
 from .jsonio import canonical_dumps
 from .kirszbraun import PartialMap, extend_one_point, extend_sequential
-from .linalg import PointCloud, mds_best_effort, mds_isometric_embed, \
-    pairwise_distances
+from .linalg import PointCloud, _measured, mds_best_effort, \
+    mds_isometric_embed, pairwise_distances
 from .lower_bound import (build_123_metric, certified_lower_bound,
                           ratio_check, sample_split)
 from .metric import distortion_of, validate_metric
@@ -214,7 +213,8 @@ def check_psi_audit(ctx):
 
 
 def check_cover_properties(ctx):
-    """Exhaustive recheck of both cover properties on every instance."""
+    """Both cover properties and lip(f), which build_cover verifies
+    exhaustively and certifies, on every instance."""
     n_covers = 0
     worst = -np.inf
     jobs = [(i, a) for i in ctx.battery() for a in (0.5, 0.3114)]
@@ -222,9 +222,7 @@ def check_cover_properties(ctx):
     for inst, alpha in jobs:
         for P in (inst.partition, inst.partition.swapped()):
             C = build_cover(inst.space, P, alpha)
-            verify_cover(inst.space, P, C)
-            lip = certify_f_lipschitz(inst.space, P, C)
-            worst = max(worst, lip / f_lip_bound(alpha))
+            worst = max(worst, C.lip_f / f_lip_bound(alpha))
             n_covers += 1
     return CheckResult(
         "05 cover-properties", True,
@@ -335,7 +333,8 @@ def check_lower_bound(ctx):
             dim = int(rng.integers(2, 7))
             proj = base @ rng.normal(size=(base.shape[1], dim)) \
                 / np.sqrt(dim)
-            legs.append(_respects_bound(X, proj, bound, split))
+            legs.append(_respects_bound(X, _measured(PointCloud(proj)),
+                                        bound, split))
         n_ok = sum(1 for good, _ in legs if good)
         ok = ok and n_ok == len(legs)
         low = min(d for _, d in legs)

@@ -15,16 +15,18 @@ import sys
 import time
 
 from .cover import build_cover
-from .errors import (AuditViolation, CollapsedPairError, CoverageError,
-                     EmptySideError, InconsistentDuplicate,
-                     InputDistortionError, InputError, LengthMismatchError,
-                     MetricUnionError, MetricValidationError, NotEuclidean)
+from .errors import (AuditViolation, CertificateViolation,
+                     CollapsedPairError, CoverageError, EmptySideError,
+                     InconsistentDuplicate, InputDistortionError, InputError,
+                     LengthMismatchError, MetricUnionError,
+                     MetricValidationError, NotEuclidean)
 from .jsonio import (_number, canonical_dumps, load_json, parse_cloud,
                      parse_glue, parse_partition, parse_space, to_jsonable)
 from .glue import external_extend
 from .linalg import mds_best_effort, mds_isometric_embed
-from .lower_bound import (build_123_metric, certified_lower_bound,
-                          choose_n_for_epsilon, ratio_check, sample_split)
+from .lower_bound import (_ratio_window, build_123_metric,
+                          certified_lower_bound, choose_n_for_epsilon,
+                          ratio_check, sample_split)
 from .metric import distortion_of, validate_metric
 from .union_embed import EmbedParams, _normalize_side, embed_union
 
@@ -174,8 +176,11 @@ def cmd_lowerbound(args):
     X, _ = build_123_metric(split)
     images = mds_best_effort(X)
     measured = distortion_of(X, images).distortion
+    if not measured >= bound - 1e-9:
+        raise CertificateViolation("mds_distortion_above_bound", None,
+                                   measured, bound)
     r1, r2 = ratio_check(split, images)
-    lo, hi = (1.0 + split.delta_star) ** -2, (1.0 + split.delta_star) ** 2
+    lo, hi, tol = _ratio_window(split.delta_star)
 
     report.update({
         "n": split.n,
@@ -187,13 +192,13 @@ def cmd_lowerbound(args):
         "audits": [
             {"name": "mds_distortion_above_bound", "sense": "lower",
              "measured": measured, "bound": bound,
-             "ok": bool(measured >= bound - 1e-9)},
+             "ok": True},
             {"name": "energy_ratio_e1_in_window", "sense": "range",
              "measured": r1, "lo": lo, "hi": hi,
-             "ok": bool(lo - 1e-9 <= r1 <= hi + 1e-9)},
+             "ok": bool(lo - tol <= r1 <= hi + tol)},
             {"name": "energy_ratio_e2_in_window", "sense": "range",
              "measured": r2, "lo": lo, "hi": hi,
-             "ok": bool(lo - 1e-9 <= r2 <= hi + 1e-9)},
+             "ok": bool(lo - tol <= r2 <= hi + tol)},
         ],
     })
     return report

@@ -34,24 +34,24 @@ condition for a minimizer of F).  That combination is the centre of the
 smallest ball around the unit directions, found by the same solver.
 
 Sequential placement at a fixed level.  ``extend_sequential`` needs some
-image within the level lam = lip (1 + tol/2), not the optimal one.  It
-fixes s = lam^2 and makes one exact solve of v(s) over all sources.
-The returned y is measured against every current source and accepted when
-max_i ||y - t_i||^2 - s d_i^2 <= 0.  Every accepted image is measured
-lam-Lipschitz against all earlier points, so by Kirszbraun's theorem the
-level-lam ball intersection stays non-empty at the next step.  A positive
-measure (rounding at a tight level), lip = 0 and a snapped duplicate fall
-back to the optimal solver; the all-pairs gate at lip (1 + tol) on the
-final map is unchanged.
+image within the level lam = lip (1 + tol/2), not the optimal one.  Each
+step has one route: a snapped duplicate takes its recorded target;
+otherwise one exact solve of v(s) at s = lam^2 (s = 0 included, where
+every target coincides) gives y, measured against every current source
+and accepted when max_i ||y - t_i||^2 - s d_i^2 <= 0.  Every accepted
+image is measured lam-Lipschitz against all earlier points, so by
+Kirszbraun's theorem the level-lam ball intersection stays non-empty at
+the next step.  Only a positive measure, which rounding at a tight level
+can leave, goes to the optimal solver with its certificate; the
+all-pairs gate at lip (1 + tol) on the final map is unchanged.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InconsistentDuplicate, InputError, SolverStall
-from .linalg import PointCloud
-from . import metric
+from .linalg import PointCloud, _measured
 
 __all__ = ["PartialMap", "extend_one_point", "extend_sequential"]
 
@@ -62,31 +62,27 @@ _CERT_TOL = 1e-6
 class PartialMap:
     """Finite map between point clouds with its measured Lipschitz constant.
 
-    ``lip`` is computed at construction as the max pairwise ratio
-    ||t_i - t_j|| / ||s_i - s_j||.  Coinciding sources must carry equal
-    targets (InconsistentDuplicate otherwise).
+    ``lip`` is measured at construction, never given, as the max pairwise
+    ratio ||t_i - t_j|| / ||s_i - s_j|| (0 below two sources), from the
+    squared distances each cloud carries or, when it carries none, from
+    one kernel call.  Coinciding sources must carry equal targets
+    (InconsistentDuplicate otherwise).
     """
 
     sources: PointCloud
     targets: PointCloud
-    lip: float = None
+    lip: float = field(init=False)
 
     def __post_init__(self):
         if self.sources.m != self.targets.m:
             raise InputError(
                 f"{self.sources.m} sources vs {self.targets.m} targets")
-        if self.lip is None:
-            object.__setattr__(self, "lip", _measured_lip(
-                self.sources.points, self.targets.points))
+        object.__setattr__(self, "lip", 0.0 if self.m < 2 else _lip_from(
+            _measured(self.sources).sq_dist, _measured(self.targets).sq_dist))
 
     @property
     def m(self):
         return self.sources.m
-
-
-def _measured_lip(src, tgt):
-    sq = metric._squared_distances
-    return 0.0 if src.shape[0] < 2 else _lip_from(sq(src), sq(tgt))
 
 
 def _lip_from(S, T):
@@ -322,27 +318,15 @@ def _snap(tgt, d):
     return None
 
 
-def _place_point(src, tgt, x, src_dim):
-    """Duplicate handling plus the optimizer; no Lipschitz gate.
-
-    Returns (y, objective, certificate_norm).  Certificate failures raise
-    SolverStall here since they mean the solve cannot be trusted.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != src_dim:
-        raise InputError(
-            f"point has dim {x.shape[0]}, sources have dim {src_dim}")
-    d = np.sqrt(((x - src) ** 2).sum(axis=1))
-    y = _snap(tgt, d)
-    if y is not None:
-        return y, 0.0, 0.0
-
+def _certified_solve(tgt, d):
+    """The optimal image and its objective, (y, F); a failed first-order
+    certificate raises SolverStall, since the solve cannot be trusted."""
     y, F, cert = _solve_extension(tgt, d)
     if cert > _CERT_TOL:
         raise SolverStall(
             F, F, message=f"first-order certificate failed: "
                           f"||combination|| = {cert:.3e}")
-    return y, F, cert
+    return y, F
 
 
 def _level_image(tgt, d, s):
@@ -371,8 +355,15 @@ def extend_one_point(M: PartialMap, x, tol=1e-7) -> np.ndarray:
     """
     if M.m == 0:
         raise InputError("cannot extend an empty partial map")
-    y, F, _ = _place_point(M.sources.points, M.targets.points, x,
-                           M.sources.dim)
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.shape[0] != M.sources.dim:
+        raise InputError(
+            f"point has dim {x.shape[0]}, sources have dim {M.sources.dim}")
+    d = np.sqrt(((x - M.sources.points) ** 2).sum(axis=1))
+    y = _snap(M.targets.points, d)
+    if y is not None:
+        return y
+    y, F = _certified_solve(M.targets.points, d)
     target = M.lip * (1.0 + tol)
     if F > target:
         raise SolverStall(F, target)
@@ -384,13 +375,14 @@ def extend_sequential(M: PartialMap, xs: PointCloud, tol=1e-7) -> PointCloud:
 
     Each placement becomes a constraint for the next.  A step only needs
     an image within the fixed level lip * (1 + tol/2) of every earlier
-    point, not the minimax optimum, and takes the first one a fixed-level
-    feasibility solve finds.  Snapped duplicates, maps with lip 0 and
-    steps where that solve gives up go to the optimal solver instead,
-    without a gate (such a step may legitimately sit a few ulp above
-    lip).  The final map on sources + xs is re-measured pairwise and must
-    stay within M.lip * (1 + tol), else SolverStall.  Returns the images
-    of xs in row order.
+    point, not the minimax optimum.  A snapped duplicate takes its
+    recorded target; every other step, lip 0 included, takes the image
+    one fixed-level feasibility solve finds.  Only a step that rounding
+    leaves infeasible goes to the optimal solver, without a gate (such a
+    step may legitimately sit a few ulp above lip).  The final map on
+    sources + xs is measured again as a PartialMap and must stay within
+    M.lip * (1 + tol), else SolverStall.  Returns the images of xs in
+    row order.
     """
     if M.m == 0:
         raise InputError("cannot extend an empty partial map")
@@ -408,15 +400,15 @@ def extend_sequential(M: PartialMap, xs: PointCloud, tol=1e-7) -> PointCloud:
         m = m0 + k
         x = xs.points[k]
         d = np.sqrt(((x - src[:m]) ** 2).sum(axis=1))
-        y = None
-        if s > 0.0 and _snap(tgt[:m], d) is None:
+        y = _snap(tgt[:m], d)
+        if y is None:
             y = _level_image(tgt[:m], d, s)
         if y is None:
-            y, _, _ = _place_point(src[:m], tgt[:m], x, M.sources.dim)
+            y, _ = _certified_solve(tgt[:m], d)
         src[m] = x
         tgt[m] = y
 
-    final_lip = _measured_lip(src, tgt)
+    final_lip = PartialMap(PointCloud(src), PointCloud(tgt)).lip
     if final_lip > M.lip * (1.0 + tol):
         raise SolverStall(final_lip, M.lip * (1.0 + tol),
                           message="sequential extension exceeded tolerance")

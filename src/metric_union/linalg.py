@@ -30,19 +30,16 @@ class PointCloud:
 
     ``sq_dist`` is None or the read-only (m, m) squared-distance matrix of
     ``points``: either the raw output of one distance-kernel call, or
-    derived exactly from kernel outputs by a sum or a factor scale**2,
-    which rounds each entry within a few ulps of what measuring again
-    gives.  Only the library fills it, and only on clouds it builds and
-    measures anyway: both MDS results (measured), the side clouds
-    ``embed_union`` normalizes and the glued sides ``external_extend``
-    hands it (private copies, measured; a rescaled side carries scale**2
-    times its measured matrix), psi's cloud (phi_b's matrix re-indexed,
-    its placed rows measured), and ``direct_sum`` of clouds that all carry
-    one (the sum of theirs), which makes ``embed_union``'s ``full``, whose
-    rows glue's f1 and f2 re-index.  A cloud is never written after it is
-    built, so a caller's cloud never gains one.  ``pairwise_distances``,
-    ``distortion_of`` and ``ratio_check`` read it instead of measuring
-    again; ``take`` and ``scaled`` return clouds without one.
+    derived exactly from kernel outputs by a re-index, a sum or a factor
+    scale**2, which rounds each entry within a few ulps of what measuring
+    again gives.  One rule fills it: the library measures the clouds it
+    builds and measures anyway (both MDS results, the normalized and glued
+    sides, psi's placed rows, psi_Delta), and ``take``, ``scaled`` and
+    ``direct_sum`` of clouds that carry one carry the derived matrix (the
+    re-index, factor**2 times it, the sum).  A cloud is never written after
+    it is built, so a caller's cloud never gains one.
+    ``pairwise_distances``, ``distortion_of``, ``ratio_check`` and
+    ``PartialMap`` read it instead of measuring again.
     """
 
     points: np.ndarray
@@ -67,10 +64,14 @@ class PointCloud:
 
     def take(self, idx):
         """Sub-cloud at the given row indices (in the given order)."""
-        return PointCloud(self.points[np.asarray(idx, dtype=np.intp)])
+        i, sq = np.asarray(idx, dtype=np.intp), self.sq_dist
+        return _carrying(PointCloud(self.points[i]),
+                         None if sq is None else sq[np.ix_(i, i)])
 
     def scaled(self, factor):
-        return PointCloud(self.points * float(factor))
+        f, sq = float(factor), self.sq_dist
+        return _carrying(PointCloud(self.points * f),
+                         None if sq is None else f * f * sq)
 
 
 def _carrying(cloud, sq):

@@ -218,6 +218,12 @@ def certified_lower_bound(split: BipartiteSplit) -> float:
     return 3.0 / (1.0 + split.delta_star) ** 2
 
 
+def _ratio_window(delta_star):
+    """ratio_check's window (lo, hi) and the round-off it allows beyond."""
+    hi = (1.0 + delta_star) ** 2
+    return (1.0 + delta_star) ** -2, hi, 1e-9 * hi
+
+
 def ratio_check(split: BipartiteSplit, images) -> tuple:
     """Mean squared image distances over e1 and e2, relative to all edges.
 
@@ -241,12 +247,10 @@ def ratio_check(split: BipartiteSplit, images) -> tuple:
     mean_all = float(cross.mean())
     if mean_all == 0.0:
         raise InputError("all cross images coincide; ratios are undefined")
-    lo = (1.0 + split.delta_star) ** -2
-    hi = (1.0 + split.delta_star) ** 2
+    lo, hi, tol = _ratio_window(split.delta_star)
     out = []
     for name, e in (("e1", split.e1), ("e2", split.e2)):
         r = float(cross[e[:, 0], e[:, 1] - n].mean()) / mean_all
-        tol = 1e-9 * hi
         if not (lo - tol <= r <= hi + tol):
             raise RangeViolation(name, r, lo, hi)
         out.append(r)

@@ -38,7 +38,7 @@ import numpy as np
 from . import metric
 from .cover import CoverResult, build_cover, f_lip_bound
 from .errors import AuditViolation, InputDistortionError, InputError
-from .kirszbraun import PartialMap, _lip_from, extend_sequential
+from .kirszbraun import PartialMap, extend_sequential
 from .linalg import PointCloud, _carrying, _measured, direct_sum
 from .metric import (DistortionReport, FiniteMetricSpace, UnionPartition,
                      _distortion_report)
@@ -205,8 +205,7 @@ def _normalize_side(X, idx, cloud):
     scale = 1.0
     if rep.contraction > 1.0:
         scale = rep.contraction
-        side = _carrying(cloud.scaled(scale),
-                         scale * scale * side.sq_dist)
+        side = side.scaled(scale)
         rep = _distortion_report(dx, side.sq_dist, idx)
     return side, max(rep.expansion, 1.0), scale
 
@@ -289,11 +288,8 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
 
     ca = np.array([row_a[int(c)] for c in C.cover_idx], dtype=np.intp)
     nb = np.array([row_b[int(t)] for t in C.nearest], dtype=np.intp)
-    sources = phi_a.take(ca)
     targets = phi_b.take(nb)
-    gmap = PartialMap(sources=sources, targets=targets,
-                      lip=_lip_from(phi_a.sq_dist[np.ix_(ca, ca)],
-                                    phi_b.sq_dist[np.ix_(nb, nb)]))
+    gmap = PartialMap(sources=phi_a.take(ca), targets=targets)
 
     rest = np.setdiff1d(ia, C.cover_idx)
     psi = np.zeros((X.n, phi_b.dim))
@@ -458,7 +454,9 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     Side inputs are rescaled to non-contracting form if they contract
     slightly (the factor is recorded), and their Lipschitz constants are
     measured rather than trusted.  When ``params`` is None, alpha comes
-    from select_alpha and the remaining constants from EmbedParams.derive.
+    from select_alpha and the remaining constants, ``tol`` among them,
+    from EmbedParams.derive; otherwise ``tol`` is unused and params.tol
+    applies.
     Each side's image distances are measured at most once, and the
     returned ``full`` carries its squared distances, the sum of its
     summands'; the returned psi clouds carry none.  The caller's clouds

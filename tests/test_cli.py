@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import metric_union.cli as cli
 import metric_union.glue as glue
 from metric_union import (EmbedParams, PointCloud, canonical_dumps,
                           embed_union, external_extend, glued_metric,
@@ -192,6 +193,19 @@ def test_lowerbound_seed_changes_split(capsys):
     assert main(["lowerbound", "--n", "64", "--seed", "2"]) == 0
     rep2 = json.loads(capsys.readouterr().out)
     assert rep1["delta_star"] != rep2["delta_star"]
+
+
+def test_lowerbound_below_its_bound_exits_2(capsys, monkeypatch):
+    # a best-effort embedding below the certified bound contradicts the
+    # certificate: no report, exit 2 with the failed audit named
+    monkeypatch.setattr(cli, "certified_lower_bound", lambda split: 1e9)
+    assert main(["lowerbound", "--n", "64", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    payload = json.loads(err.splitlines()[0])
+    assert payload["error"] == "CertificateViolation"
+    assert payload["witness"]["name"] == "mds_distortion_above_bound"
+    assert payload["witness"]["bound"] == 1e9
 
 
 def test_lowerbound_n16_exhausts_budget(capsys):

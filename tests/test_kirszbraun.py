@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metric_union import (InconsistentDuplicate, InputError, PartialMap,
-                          PointCloud, SolverStall, extend_one_point,
-                          extend_sequential, kirszbraun, pairwise_distances,
-                          stream)
+from metric_union import (EmbedParams, InconsistentDuplicate, InputError,
+                          PartialMap, PointCloud, SolverStall, embed_union,
+                          extend_one_point, extend_sequential, kirszbraun,
+                          metric, pairwise_distances, stream)
+from metric_union.acceptance import _Context
+from metric_union.linalg import _measured
 
 
 def _max_ratio(y, tgt, d):
@@ -28,6 +30,28 @@ def test_partial_map_measures_lip():
     # ratios: 2/1, 4/3, 2/2 -> lip = 2
     assert M.lip == pytest.approx(2.0)
     assert M.m == 3
+
+
+def test_partial_map_lip_is_measured_never_given(kernel_calls):
+    with pytest.raises(TypeError):
+        PartialMap(PointCloud(np.zeros((2, 1))), PointCloud(np.ones((2, 1))),
+                   lip=1.0)
+    rng = stream(5, "test.kirsz.lip")
+    src, tgt = rng.normal(size=(30, 3)), rng.normal(size=(30, 4))
+    i = rng.permutation(30)[:20]
+    S = metric._squared_distances(src[i])
+    T = metric._squared_distances(tgt[i])
+    iu, ju = np.triu_indices(i.size, k=1)
+    kernel = float((np.sqrt(T[iu, ju]) / np.sqrt(S[iu, ju])).max())
+    # plain clouds are measured by the kernel, carrying ones read their
+    # matrices (here re-indexed by take), bit for bit the same constant
+    kernel_calls.clear()
+    assert PartialMap(PointCloud(src[i]), PointCloud(tgt[i])).lip == kernel
+    assert len(kernel_calls) == 2
+    src_c, tgt_c = (_measured(PointCloud(p)).take(i) for p in (src, tgt))
+    kernel_calls.clear()
+    assert PartialMap(src_c, tgt_c).lip == kernel
+    assert not kernel_calls
 
 
 def test_partial_map_rejects_inconsistent_duplicates():
@@ -162,6 +186,39 @@ def test_sequential_extension_places_at_fixed_level(monkeypatch):
         for k in range(m, m + q):
             d = np.sqrt(((S[k] - S[:k]) ** 2).sum(axis=1))
             assert _max_ratio(T[k], T[:k], d) <= M.lip * (1.0 + tol / 2)
+    assert not solves
+
+
+def test_sequential_extension_never_reaches_the_optimizer(monkeypatch):
+    # lip-0 maps take the fixed-level solve at s = 0 and snapped
+    # duplicates their recorded target, as every placement of the seed-0
+    # selftest battery takes one of the two
+    solves, levels = [], []
+    optimal, level = kirszbraun._solve_extension, kirszbraun._level_image
+    monkeypatch.setattr(kirszbraun, "_solve_extension",
+                        lambda *a: solves.append(a) or optimal(*a))
+    monkeypatch.setattr(kirszbraun, "_level_image",
+                        lambda *a: levels.append(a[2]) or level(*a))
+    xs = PointCloud(stream(0, "test.kirsz.lip0").normal(size=(5, 2)))
+    for src in ([[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]]):
+        M = PartialMap(PointCloud(src),
+                       PointCloud(np.tile([1.5, -2.0, 0.25], (len(src), 1))))
+        assert M.lip == 0.0
+        np.testing.assert_array_equal(extend_sequential(M, xs).points,
+                                      np.tile([1.5, -2.0, 0.25], (5, 1)))
+    assert levels == [0.0] * 10
+    M = PartialMap(PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]])),
+                   PointCloud(np.array([[5.0, 5.0], [6.0, 7.0]])))
+    out = extend_sequential(M, PointCloud(np.array(
+        [[1.0, 1e-13], [0.0, 0.0], [0.3, 0.4], [0.3, 0.4]]))).points
+    np.testing.assert_array_equal(out[:2], [[6.0, 7.0], [5.0, 5.0]])
+    np.testing.assert_array_equal(out[3], out[2])
+    assert len(levels) == 11 and not solves
+    params = EmbedParams.derive(0.5, 1.0, 1.0)
+    for inst in _Context(0).battery():
+        embed_union(inst.space, inst.partition, inst.phi_a, inst.phi_b,
+                    params=params)
+    assert 0.0 in levels[11:] and len(levels) > 2000
     assert not solves
 
 

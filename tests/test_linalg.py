@@ -185,7 +185,7 @@ def test_pairwise_distances_of_rows_reindex_the_full_matrix():
     rng = stream(3, "test.pairwise_take")
     for _ in range(10):
         i = rng.integers(0, cloud.m, size=int(rng.integers(2, cloud.m)))
-        assert np.array_equal(pairwise_distances(cloud.take(i)),
+        assert np.array_equal(pairwise_distances(cloud.take(i).points),
                               D[np.ix_(i, i)])
 
 

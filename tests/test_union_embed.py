@@ -237,11 +237,28 @@ def test_carried_matrix_is_the_kernel_output(split_123, small):
         sq = cloud.sq_dist
         assert not sq.flags.writeable
         assert _ulps_close(sq, metric._squared_distances(cloud.points.copy()))
-    # the returned summands, take() and scaled() carry no matrix
+    # the returned summands carry no matrix
     assert all(c.sq_dist is None
                for c in (emb.psi_a, emb.psi_b, emb.psi_delta))
-    assert phi_a.take([0, 1]).sq_dist is None
-    assert phi_a.scaled(2.0).sq_dist is None
+
+
+def test_take_and_scaled_carry_the_derived_matrix(split_123):
+    phi_a = split_123[2]
+    sq = phi_a.sq_dist
+    i = np.array([5, 0, 17, 5, 3])
+    sub = phi_a.take(i)
+    assert np.array_equal(sub.sq_dist, sq[np.ix_(i, i)])
+    assert not sub.sq_dist.flags.writeable
+    f = 1.0 + 3e-16
+    big = phi_a.scaled(f)
+    assert np.array_equal(big.sq_dist, f * f * sq)
+    assert not big.sq_dist.flags.writeable
+    assert np.array_equal(big.take(i).sq_dist, (f * f * sq)[np.ix_(i, i)])
+    assert phi_a.sq_dist is sq
+    # a caller's cloud, and whatever is derived from it, carries none
+    plain = PointCloud(phi_a.points)
+    for cloud in (plain.take(i), plain.scaled(f), plain):
+        assert cloud.sq_dist is None
 
 
 def test_caller_clouds_never_carry_a_matrix(small):
