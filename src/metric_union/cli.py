@@ -180,7 +180,7 @@ def cmd_lowerbound(args):
         raise CertificateViolation("mds_distortion_above_bound", None,
                                    measured, bound)
     r1, r2 = ratio_check(split, images)
-    lo, hi, tol = _ratio_window(split.delta_star)
+    lo, hi = _ratio_window(split.delta_star)
 
     report.update({
         "n": split.n,
@@ -191,14 +191,11 @@ def cmd_lowerbound(args):
         "certified_bound": bound,
         "audits": [
             {"name": "mds_distortion_above_bound", "sense": "lower",
-             "measured": measured, "bound": bound,
-             "ok": True},
+             "measured": measured, "bound": bound, "ok": True},
             {"name": "energy_ratio_e1_in_window", "sense": "range",
-             "measured": r1, "lo": lo, "hi": hi,
-             "ok": bool(lo - tol <= r1 <= hi + tol)},
+             "measured": r1, "lo": lo, "hi": hi, "ok": True},
             {"name": "energy_ratio_e2_in_window", "sense": "range",
-             "measured": r2, "lo": lo, "hi": hi,
-             "ok": bool(lo - tol <= r2 <= hi + tol)},
+             "measured": r2, "lo": lo, "hi": hi, "ok": True},
         ],
     })
     return report

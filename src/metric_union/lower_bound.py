@@ -219,9 +219,8 @@ def certified_lower_bound(split: BipartiteSplit) -> float:
 
 
 def _ratio_window(delta_star):
-    """ratio_check's window (lo, hi) and the round-off it allows beyond."""
-    hi = (1.0 + delta_star) ** 2
-    return (1.0 + delta_star) ** -2, hi, 1e-9 * hi
+    """ratio_check's window (lo, hi); it allows 1e-9*hi of round-off beyond."""
+    return (1.0 + delta_star) ** -2, (1.0 + delta_star) ** 2
 
 
 def ratio_check(split: BipartiteSplit, images) -> tuple:
@@ -247,7 +246,8 @@ def ratio_check(split: BipartiteSplit, images) -> tuple:
     mean_all = float(cross.mean())
     if mean_all == 0.0:
         raise InputError("all cross images coincide; ratios are undefined")
-    lo, hi, tol = _ratio_window(split.delta_star)
+    lo, hi = _ratio_window(split.delta_star)
+    tol = 1e-9 * hi
     out = []
     for name, e in (("e1", split.e1), ("e2", split.e2)):
         r = float(cross[e[:, 0], e[:, 1] - n].mean()) / mean_all

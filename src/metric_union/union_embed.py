@@ -295,8 +295,9 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     psi = np.zeros((X.n, phi_b.dim))
     psi[C.cover_idx] = targets.points
     if rest.size:
+        # plain rows: extend_sequential reads no matrix of its points
         psi[rest] = extend_sequential(
-            gmap, phi_a.take([row_a[int(s)] for s in rest]),
+            gmap, PointCloud(phi_a.points[[row_a[int(s)] for s in rest]]),
             params.tol).points
     psi[ib] = phi_b.points   # home side last: psi restricted to B is phi_b
     rows = np.zeros(X.n, dtype=np.intp)   # placed rows: measured below

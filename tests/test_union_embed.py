@@ -374,8 +374,9 @@ def test_build_psi_side_dist_parity(split_123):
         assert ([e.as_dict() for e in own.entries]
                 == [e.as_dict() for e in given.entries])
         # re-indexed matrices give what measuring the clouds again gives
-        assert given.gmap.lip == PartialMap(given.gmap.sources,
-                                            given.gmap.targets).lip
+        assert given.gmap.lip == PartialMap(
+            PointCloud(given.gmap.sources.points),
+            PointCloud(given.gmap.targets.points)).lip
         ratio = pairwise_distances(given.cloud) / np.where(
             X.dist > 0.0, X.dist, np.inf)
         ia, ib = P.idx_a, P.idx_b
