@@ -16,8 +16,9 @@ from metric_union import (build_123_metric, certified_lower_bound,
 
 n = 64
 split = sample_split(n, seed=1)
-print(f"K_{{{n},{n}}} split: |e1| = {split.e1.shape[0]}, "
-      f"|e2| = {split.e2.shape[0]} (accepted on attempt {split.attempts})")
+print(f"K_{{{n},{n}}} split: |e1| = {np.count_nonzero(split.mask)}, "
+      f"|e2| = {np.count_nonzero(~split.mask)} "
+      f"(accepted on attempt {split.attempts})")
 print(f"measured delta* = {split.delta_star:.6f}")
 
 bound = certified_lower_bound(split)

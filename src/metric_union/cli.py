@@ -3,7 +3,8 @@
 Subcommands: check-metric, embed, cover, lowerbound, glue, selftest.
 Reports go to --output when given, else stdout; timing goes to stderr so
 stdout stays byte-deterministic (floats are formatted with 17 significant
-digits and keys are sorted).  All randomness derives from --seed.
+digits and keys are sorted).  Only lowerbound and selftest draw random
+numbers, and they take --seed; the other commands are deterministic.
 
 Exit codes: 0 success, 1 malformed input, 2 a certified property failed
 during the run (for audit failures the report is still written).
@@ -13,6 +14,8 @@ import argparse
 import math
 import sys
 import time
+
+import numpy as np
 
 from .cover import build_cover
 from .errors import (AuditViolation, CertificateViolation,
@@ -162,14 +165,11 @@ def cmd_cover(args):
 
 def cmd_lowerbound(args):
     report = {"seed": args.seed}
+    n = args.n
     if args.epsilon is not None:
         n, median_delta = choose_n_for_epsilon(args.epsilon, args.seed)
         report["epsilon"] = args.epsilon
         report["median_delta"] = median_delta
-    elif args.n is not None:
-        n = args.n
-    else:
-        raise InputError("lowerbound needs --n or --epsilon")
 
     split = sample_split(n, args.seed)
     bound = certified_lower_bound(split)
@@ -185,8 +185,8 @@ def cmd_lowerbound(args):
     report.update({
         "n": split.n,
         "attempts": split.attempts,
-        "edges_e1": int(split.e1.shape[0]),
-        "edges_e2": int(split.e2.shape[0]),
+        "edges_e1": int(np.count_nonzero(split.mask)),
+        "edges_e2": int(np.count_nonzero(~split.mask)),
         "delta_star": split.delta_star,
         "certified_bound": bound,
         "audits": [
@@ -250,23 +250,23 @@ def _build_parser():
         if needs_input:
             p.add_argument("--input", required=True)
         p.add_argument("--output", default=None)
-        p.add_argument("--seed", type=int, default=0)
+        if flags.get("seed"):
+            p.add_argument("--seed", type=int, default=0)
         if flags.get("alpha"):
             p.add_argument("--alpha", type=float, default=None)
         if flags.get("tol"):
             p.add_argument("--tol", type=float, default=1e-7)
-        if flags.get("epsilon"):
-            p.add_argument("--epsilon", type=float, default=None)
-        if flags.get("n"):
-            p.add_argument("--n", type=int, default=None)
         return p
 
     add("check-metric", True)
     add("embed", True, alpha=True, tol=True)
     add("cover", True, alpha=True)
-    add("lowerbound", False, epsilon=True, n=True)
+    size = add("lowerbound", False, seed=True).add_mutually_exclusive_group(
+        required=True)
+    size.add_argument("--n", type=int, default=None)
+    size.add_argument("--epsilon", type=float, default=None)
     add("glue", True, tol=True)
-    add("selftest", False)
+    add("selftest", False, seed=True)
     return parser
 
 

@@ -66,10 +66,10 @@ def shortest_path_closure(w) -> np.ndarray:
     return d
 
 
-def _drawn(n_a, n_b, dim_a, dim_b, seed, overlap, name):
+def _drawn(n_a, n_b, dim_a, dim_b, seed, overlap):
     """The drawn weights before closure, with both sides' indices and
     coordinates: Euclidean side blocks, cross weights in [M, 2M]."""
-    rng = stream(seed, name)
+    rng = stream(seed, "testgen")
     o = int(overlap)
     only_a, only_b = n_a - o, n_b - o
     n = o + only_a + only_b
@@ -99,8 +99,7 @@ def _drawn(n_a, n_b, dim_a, dim_b, seed, overlap, name):
     return w, idx_a, idx_b, pts_a, pts_b
 
 
-def union_instance(n_a, n_b, dim_a, dim_b, seed, overlap=0,
-                   name="testgen") -> Instance:
+def union_instance(n_a, n_b, dim_a, dim_b, seed, overlap=0) -> Instance:
     """Random two-sided instance with ``overlap`` shared points.
 
     The cross block between A-only and B-only points is closed by one
@@ -114,7 +113,7 @@ def union_instance(n_a, n_b, dim_a, dim_b, seed, overlap=0,
         raise InputError(f"overlap must lie in [0, {min(n_a, n_b)}], "
                          f"got {overlap}")
     w, idx_a, idx_b, pts_a, pts_b = _drawn(n_a, n_b, dim_a, dim_b, seed,
-                                           overlap, name)
+                                           overlap)
     o = int(overlap)
     cross = _min_plus(_min_plus(w[o:n_a, :n_a], w[np.ix_(idx_a, idx_b)]),
                       w[idx_b, n_a:])
@@ -144,7 +143,7 @@ def distort_sides(inst: Instance, d_a: float, d_b: float) -> Instance:
 
 
 def sample_glue_instance(n_pairs, extra_u, extra_v, dim_a, dim_b, seed,
-                         wobble=0.3, name="glue") -> GlueInstance:
+                         wobble=0.3) -> GlueInstance:
     """Random pairing between perturbed-linear images, with ambient extras.
 
     The matched points are Gaussian in R^dim_a; their partners are a
@@ -158,7 +157,7 @@ def sample_glue_instance(n_pairs, extra_u, extra_v, dim_a, dim_b, seed,
         raise InputError("need at least one matched pair")
     if extra_u < 0 or extra_v < 0:
         raise InputError("extra point counts must be nonnegative")
-    rng = stream(seed, name)
+    rng = stream(seed, "glue")
     A = rng.normal(size=(n_pairs, dim_a))
     Q = np.linalg.qr(rng.normal(size=(max(dim_a, dim_b), dim_b)))[0]
     B = A @ Q[:dim_a] + wobble * rng.normal(size=(n_pairs, dim_b))

@@ -232,6 +232,23 @@ def test_lowerbound_needs_n_or_epsilon(capsys):
     assert main(["lowerbound"]) == 1
 
 
+def test_lowerbound_takes_n_or_epsilon_not_both(capsys):
+    # either flag alone picks n, so both at once is refused, not ignored
+    assert main(["lowerbound", "--n", "64", "--epsilon", "0.95"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[0])["error"] == "_UsageError"
+
+
+def test_seed_only_where_randomness_is_drawn(embed_input, capsys):
+    path, _ = embed_input
+    assert main(["embed", "--input", path, "--seed", "1"]) == 1
+    assert _stderr_payload(capsys)["error"] == "_UsageError"
+    for name in ("check-metric", "cover", "glue"):
+        assert main([name, "--input", path, "--seed", "1"]) == 1
+        assert _stderr_payload(capsys)["error"] == "_UsageError"
+
+
 def test_glue_command(tmp_path, capsys):
     path = _write(tmp_path, "glue.json", {
         "u_points": {"points": [[0.0], [1.0], [2.0]]},

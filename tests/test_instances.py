@@ -62,7 +62,7 @@ def _recipes():
 def test_one_crossing_closure_equals_floyd_warshall():
     differ = []
     for n_a, n_b, dim_a, dim_b, seed, overlap in _recipes():
-        w = _drawn(n_a, n_b, dim_a, dim_b, seed, overlap, "testgen")[0]
+        w = _drawn(n_a, n_b, dim_a, dim_b, seed, overlap)[0]
         X = union_instance(n_a, n_b, dim_a, dim_b, seed=seed,
                            overlap=overlap).space
         if not np.array_equal(X.dist, shortest_path_closure(w)):
@@ -78,7 +78,7 @@ def test_one_crossing_closure_keeps_sides_as_drawn():
     X, P = inst.space, inst.partition
     assert np.array_equal(X.sub(P.idx_a), pairwise_distances(inst.phi_a))
     assert np.array_equal(X.sub(P.idx_b), pairwise_distances(inst.phi_b))
-    ref = shortest_path_closure(_drawn(11, 8, 1, 3, 679181, 0, "testgen")[0])
+    ref = shortest_path_closure(_drawn(11, 8, 1, 3, 679181, 0)[0])
     assert np.all(ref <= X.dist)
     np.testing.assert_allclose(X.dist, ref, rtol=1e-15)
 

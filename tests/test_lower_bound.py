@@ -7,7 +7,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse import csr_matrix
 
 import metric_union.lower_bound as lower_bound
-from metric_union import (DuplicateEdge, InputError, MetricUnionError,
+from metric_union import (BipartiteSplit, DuplicateEdge, InputError,
                           RangeViolation, RetryBudgetExceeded, SelfLoop,
                           SingularPencil, build_123_metric,
                           certified_lower_bound, choose_n_for_epsilon,
@@ -119,7 +119,7 @@ def test_measure_delta_disconnected_class_is_singular():
 
 def test_sandwich_margin_sign():
     split = sample_split(64, seed=1)
-    L, L1, L2, _, _ = _mask_laplacians(_split_mask(split))
+    L, L1, L2, _, _ = _mask_laplacians(split.mask)
     measured = split.delta_star - 1e-9
     at_star = min(sandwich_margin(L, Li, split.delta_star) for Li in (L1, L2))
     below = min(sandwich_margin(L, Li, measured - 1e-5) for Li in (L1, L2))
@@ -128,23 +128,46 @@ def test_sandwich_margin_sign():
     assert below < at_star
 
 
-def _split_mask(split):
-    mask = np.zeros((split.n, split.n), dtype=bool)
-    mask[split.e1[:, 0], split.e1[:, 1] - split.n] = True
-    return mask
-
-
 def test_sample_split_certificate_recomputes():
     split = sample_split(64, seed=2)
     assert split.attempts >= 1
-    mask = _split_mask(split)
-    _, _, _, e1, e2 = _mask_laplacians(mask)
-    np.testing.assert_array_equal(e1, split.e1)
-    np.testing.assert_array_equal(e2, split.e2)
+    mask = split.mask
     assert split.delta_star == measure_delta(mask) + 1e-9
     assert certified_lower_bound(split) == 3.0 / (1.0 + split.delta_star) ** 2
-    # every cross pair appears in exactly one edge class
-    assert split.e1.shape[0] + split.e2.shape[0] == split.n ** 2
+
+
+# a hand mask of K_{4,4} whose two edge classes are both 8-cycles
+_RING_MASK = np.array([[1, 1, 0, 0], [0, 1, 1, 0],
+                       [0, 0, 1, 1], [1, 0, 0, 1]], dtype=bool)
+
+
+def test_split_measures_its_own_delta():
+    masks = [sample_split(n, seed).mask for n, seed in ((32, 0), (64, 5))]
+    for mask in masks + [_RING_MASK]:
+        given = np.array(mask)
+        split = BipartiteSplit(given, 0, 1)
+        assert split.delta_star == measure_delta(mask) + 1e-9
+        assert split.n == mask.shape[0]
+        np.testing.assert_array_equal(split.mask, mask)
+        assert not split.mask.flags.writeable and given.flags.writeable
+    with pytest.raises(TypeError):
+        BipartiteSplit(_RING_MASK, 0, 1, delta_star=0.1)
+    with pytest.raises(AttributeError):
+        split.delta_star = 0.1
+
+
+def test_split_rejects_masks_without_a_certificate():
+    hand = _RING_MASK
+    for bad in (hand.astype(np.float64), hand[:, :3], hand.ravel(),
+                np.zeros((0, 0), dtype=bool)):
+        with pytest.raises(InputError):
+            BipartiteSplit(bad, 0, 1)
+    # a vertex with no e1 edge, and one with no e2 edge
+    for mask, which in ((hand & [[0], [1], [1], [1]], "e1"),
+                        (hand | [[1], [0], [0], [0]], "e2")):
+        with pytest.raises(SingularPencil) as info:
+            BipartiteSplit(mask.astype(bool), 0, 1)
+        assert info.value.which == which
 
 
 def test_sample_split_measures_each_attempt_once(monkeypatch):
@@ -196,31 +219,11 @@ def test_123_metric_structure():
     assert np.all(side_a[off] == 2.0) and np.all(side_b[off] == 2.0)
     cross = X.dist[:n, n:]
     assert set(np.unique(cross)) == {1.0, 3.0}
-    assert np.all(X.dist[split.e1[:, 0], split.e1[:, 1]] == 1.0)
-    assert np.all(X.dist[split.e2[:, 0], split.e2[:, 1]] == 3.0)
+    assert np.all(cross[split.mask] == 1.0)
+    assert np.all(cross[~split.mask] == 3.0)
+    np.testing.assert_array_equal(X.dist[n:, :n], cross.T)
     np.testing.assert_array_equal(P.idx_a, np.arange(n))
     np.testing.assert_array_equal(P.idx_b, np.arange(n, 2 * n))
-
-
-def _hand_split(e1, e2, n):
-    return lower_bound.BipartiteSplit(
-        n=n, e1=np.asarray(e1, dtype=np.intp).reshape(-1, 2),
-        e2=np.asarray(e2, dtype=np.intp).reshape(-1, 2), delta_star=0.5,
-        seed=0, attempts=1)
-
-
-def _validated_123(split):
-    """(dist, None) from validate_metric on the 1/2/3 matrix filled edge by
-    edge, or (None, the error type it raises)."""
-    n2 = 2 * split.n
-    D = 2.0 * (1.0 - np.eye(n2))
-    for edges, value in ((split.e1, 1.0), (split.e2, 3.0)):
-        for u, v in edges:
-            D[u, v] = D[v, u] = value
-    try:
-        return validate_metric(D).dist, None
-    except MetricUnionError as exc:
-        return None, type(exc)
 
 
 def test_123_structure_check_matches_full_validation(monkeypatch):
@@ -232,40 +235,21 @@ def test_123_structure_check_matches_full_validation(monkeypatch):
         return validate(D)
 
     monkeypatch.setattr(lower_bound, "validate_metric", counted)
-    cases = []
+    built = 0
     for n in (4, 8, 16, 32):
         for seed in range(5):
             mask = stream(seed, "test.123_mask", n).random((n, n)) < 0.5
-            e1 = lower_bound._mask_edges(mask, n)
-            e2 = lower_bound._mask_edges(~mask, n)
-            cases.append((_hand_split(e1, e2, n), 0))
-            if seed:
-                continue
-            # hand-broken: an edge inside a side (of either class) takes
-            # the full scan; an edge in both classes (the 3 wins) and a
-            # missing edge (left at 2) keep the structure, and a metric
-            cases += [
-                (_hand_split(np.vstack([e1, [[0, 1]]]), e2, n), 1),
-                (_hand_split(e1, np.vstack([e2, [[n, n + 1]]]), n), 1),
-                (_hand_split(e1, np.vstack([e2, e1[:1]]), n), 0),
-                (_hand_split(e1[1:], e2, n), 0),
-            ]
-    raised = 0
-    for split, scans in cases:
-        want, error = _validated_123(split)
-        full_scans.clear()
-        try:
+            try:
+                split = BipartiteSplit(mask, seed, 1)
+            except SingularPencil:
+                continue   # a class is disconnected: no split, no bound
             X, _ = build_123_metric(split)
-        except MetricUnionError as exc:
-            assert type(exc) is error
-            raised += 1
-        else:
-            assert error is None
-            assert np.array_equal(X.dist, want)
+            assert not full_scans
+            assert np.array_equal(X.dist, validate(np.array(X.dist)).dist)
             assert not X.dist.flags.writeable
-            assert X.labels == tuple(range(2 * split.n))
-        assert len(full_scans) == scans
-    assert raised > 0
+            assert X.labels == tuple(range(2 * n))
+            built += 1
+    assert built == 18   # two n = 4 masks disconnect a class
 
 
 def test_best_effort_embedding_respects_bound():
@@ -287,17 +271,16 @@ def test_ratio_check_rejects_malformed_images():
         ratio_check(split, np.zeros((2 * split.n, 3)))   # all coincide
 
 
-def test_ratio_check_flags_impossible_images():
-    from metric_union import BipartiteSplit
-    split = BipartiteSplit(
-        n=2, e1=np.array([[0, 2]]),
-        e2=np.array([[0, 3], [1, 2], [1, 3]]),
-        delta_star=0.1, seed=0, attempts=1)
-    # the lone e1 pair is nearly collapsed while e2 pairs stay long, so
-    # the e1 energy ratio falls far below (1 + delta*)^-2
-    pts = np.array([[0.0, 0.0], [0.0, 10.0], [0.1, 0.0], [5.0, 5.0]])
+def test_ratio_check_flags_impossible_images(monkeypatch):
+    # a measured delta* bounds every image's ratios, so a violation can
+    # only be injected: a window shut to 1 leaves the MDS image's e1 pairs
+    # (distance 1, so short) with a ratio far below it
+    split = sample_split(64, seed=4)
+    X, _ = build_123_metric(split)
+    img = mds_best_effort(X)
+    monkeypatch.setattr(lower_bound, "_ratio_window", lambda d: (1.0, 1.0))
     with pytest.raises(RangeViolation) as info:
-        ratio_check(split, pts)
+        ratio_check(split, img)
     assert info.value.which == "e1"
     assert info.value.measured < info.value.lo
 
@@ -320,8 +303,8 @@ def test_choose_n_meets_loose_target():
 def test_split_deterministic():
     a = sample_split(64, seed=9)
     b = sample_split(64, seed=9)
-    np.testing.assert_array_equal(a.e1, b.e1)
+    np.testing.assert_array_equal(a.mask, b.mask)
     assert a.delta_star == b.delta_star
     assert a.attempts == b.attempts
     c = sample_split(64, seed=10)
-    assert not np.array_equal(a.e1, c.e1)
+    assert not np.array_equal(a.mask, c.mask)
