@@ -15,9 +15,9 @@ from .errors import (AsymmetryError, AuditViolation, CertificateViolation,
                      InputDistortionError, InputError, LengthMismatchError,
                      MetricUnionError, MetricValidationError,
                      NegativeDistanceError, NonzeroDiagonal, NotEuclidean,
-                     NotSymmetricError, RangeViolation, RetryBudgetExceeded,
-                     SelfLoop, SingularPencil, SolverStall, TriangleViolation,
-                     ZeroOffDiagonal)
+                     NotSymmetricError, OutOfMemory, RangeViolation,
+                     RetryBudgetExceeded, SelfLoop, SingularPencil,
+                     SolverStall, TriangleViolation, ZeroOffDiagonal)
 from .glue import (ExternalExtension, GlueInstance, external_extend,
                    glue_instance, glued_metric)
 from .instances import (Instance, distort_sides, sample_glue_instance,
@@ -48,9 +48,10 @@ __all__ = [
     "FiniteMetricSpace", "GlueInstance", "InconsistentDuplicate",
     "InputDistortionError", "InputError", "Instance", "LengthMismatchError",
     "MetricUnionError", "MetricValidationError", "NegativeDistanceError",
-    "NonzeroDiagonal", "NotEuclidean", "NotSymmetricError", "PartialMap",
-    "PointCloud", "PsiResult", "RangeViolation", "RetryBudgetExceeded",
-    "SelfLoop", "SingularPencil", "SolverStall", "SymEigen",
+    "NonzeroDiagonal", "NotEuclidean", "NotSymmetricError", "OutOfMemory",
+    "PartialMap", "PointCloud", "PsiResult", "RangeViolation",
+    "RetryBudgetExceeded", "SelfLoop", "SingularPencil", "SolverStall",
+    "SymEigen",
     "TriangleViolation", "UnionEmbedding", "UnionPartition",
     "ZeroOffDiagonal", "build_123_metric", "build_cover", "build_partition",
     "build_psi", "canonical_dumps", "certified_lower_bound",

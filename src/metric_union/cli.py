@@ -7,7 +7,8 @@ digits and keys are sorted).  Only lowerbound and selftest draw random
 numbers, and they take --seed; the other commands are deterministic.
 
 Exit codes: 0 success, 1 malformed input, 2 a certified property failed
-during the run (for audit failures the report is still written).
+during the run (for audit failures the report is still written), 3 the
+run ran out of memory (``MemoryError``, reported as OutOfMemory).
 """
 
 import argparse
@@ -22,7 +23,7 @@ from .errors import (AuditViolation, CertificateViolation,
                      CollapsedPairError, CoverageError, EmptySideError,
                      InconsistentDuplicate, InputDistortionError, InputError,
                      LengthMismatchError, MetricUnionError,
-                     MetricValidationError, NotEuclidean)
+                     MetricValidationError, NotEuclidean, OutOfMemory)
 from .jsonio import (_number, canonical_dumps, load_json, parse_cloud,
                      parse_glue, parse_partition, parse_space, to_jsonable)
 from .glue import external_extend
@@ -165,13 +166,14 @@ def cmd_cover(args):
 
 def cmd_lowerbound(args):
     report = {"seed": args.seed}
-    n = args.n
-    if args.epsilon is not None:
-        n, median_delta = choose_n_for_epsilon(args.epsilon, args.seed)
+    if args.epsilon is None:
+        split = sample_split(args.n, args.seed)
+    else:   # the chosen n's first sample is sample_split(n, seed)
+        _, median_delta, split = choose_n_for_epsilon(args.epsilon,
+                                                      args.seed)
         report["epsilon"] = args.epsilon
         report["median_delta"] = median_delta
 
-    split = sample_split(n, args.seed)
     bound = certified_lower_bound(split)
     X, _ = build_123_metric(split)
     images = mds_best_effort(X)
@@ -281,9 +283,12 @@ def main(argv=None) -> int:
         else:
             _write_report(result, args.output)
             code = 0
-    except MetricUnionError as exc:
+    except (MetricUnionError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):   # named, not a bare traceback
+            exc = OutOfMemory(str(exc))
         sys.stderr.write(canonical_dumps(_error_payload(exc)))
-        code = 1 if isinstance(exc, _INPUT_ERRORS) else 2
+        code = (1 if isinstance(exc, _INPUT_ERRORS)
+                else 3 if isinstance(exc, OutOfMemory) else 2)
         if isinstance(exc, AuditViolation) and exc.entries is not None \
                 and getattr(args, "output", None):
             try:   # a failed write is reported after the audit failure

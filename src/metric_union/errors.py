@@ -218,6 +218,20 @@ class RangeViolation(MetricUnionError):
 
 
 # ---------------------------------------------------------------------------
+# resources
+
+class OutOfMemory(MetricUnionError):
+    """A run needed more memory than the process could get.  The CLI
+    raises it in place of ``MemoryError``; ``detail`` is that error's
+    message (numpy's names the array it could not allocate)."""
+
+    def __init__(self, detail):
+        self.detail = detail
+        super().__init__(f"out of memory: {detail}" if detail
+                         else "out of memory")
+
+
+# ---------------------------------------------------------------------------
 # input handling
 
 class InputError(MetricUnionError):

@@ -16,12 +16,16 @@ Solver.  For a level s,
 is convex and decreasing in s, with root s* = F(y*)^2.  Any two of these
 constraints differ by an affine function of y, so v(s) is a smallest
 enclosing ball under power distance: an LP-type problem whose bases have
-at most k + 1 members (k the target dimension).  ``_power_center`` solves
+at most k + 1 members (k the target dimension).  ``_ball_search`` solves
 it exactly by Welzl's move-to-front recursion, pivoting on the worst
-violator, with one small triangular update per basis member and no
-iteration cap, gap tolerance or warm start.  A violator that would make
-the basis singular can only be a rounding tie and is not pushed; every
-caller measures the result.  Any feasible level certifies F(y) <= sqrt(s).
+violator, with one Gram-Schmidt row per basis member and no iteration
+cap, gap tolerance or warm start.  A violator that would make the basis
+singular can only be a rounding tie and is not pushed; every caller
+measures the result.  Any feasible level certifies F(y) <= sqrt(s).  The
+search yields the basis and y; the barycentric weights of y over the
+basis, one triangular solve on the search's rows, are computed only by
+``_power_center``, for the two readers of weights: the Newton slope and
+the certificate.
 
 The optimal solve runs Newton on s from a pairwise lower bound, where
 each tangent slope -sum_i lam_i d_i^2 comes from the basis weights,
@@ -36,9 +40,10 @@ smallest ball around the unit directions, found by the same solver.
 Sequential placement at a fixed level.  ``extend_sequential`` needs some
 image within the level lam = lip (1 + tol/2), not the optimal one.  Each
 step has one route: a snapped duplicate takes its recorded target;
-otherwise one exact solve of v(s) at s = lam^2 (s = 0 included, where
-every target coincides) gives y, measured against every current source
-and accepted when max_i ||y - t_i||^2 - s d_i^2 <= 0.  Every accepted
+otherwise one exact ball search for v(s) at s = lam^2 (s = 0 included,
+where every target coincides) gives y, measured against every current
+source and accepted when max_i ||y - t_i||^2 - s d_i^2 <= 0.  This step
+reads y alone, so it computes no weights.  Every accepted
 image is measured lam-Lipschitz against all earlier points, so by
 Kirszbraun's theorem the level-lam ball intersection stays non-empty at
 the next step.  Only a positive measure, which rounding at a tight level
@@ -46,6 +51,7 @@ can leave, goes to the optimal solver with its certificate; the
 all-pairs gate at lip (1 + tol) on the final map is unchanged.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,58 +105,71 @@ def _lip_from(S, T):
     return float((t[live] / s[live]).max()) if live.any() else 0.0
 
 
-def _power_center(T, c):
-    """min_y max_i ||y - t_i||^2 + c_i, exactly.  Returns (y, v, R, lam).
+def _ball_search(T, c):
+    """min_y max_i ||y - t_i||^2 + c_i, exactly.  Returns (R, y, z, rows).
 
-    v is measured at y over every row; R is the basis (row indices) and
-    lam its barycentric weights, y = lam @ T[R].  Each round pivots on the
-    worst violator p (Gartner 1999), which lies on the boundary of the
-    ball of the current basis plus p, and solves that problem of at most
-    k + 2 rows (k = T.shape[1]) by Welzl's move-to-front recursion; v
-    grows strictly from round to round.  The ball of a basis is the point
-    of aff(T[R]) with equal power on R, built one member at a time: each
-    new offset from T[R[0]] is orthogonalized against the basis span,
+    R is the basis (row indices) and y its ball's centre, y = T[R[0]] +
+    z @ Q for the orthonormal Gram-Schmidt rows Q of the offsets from
+    T[R[0]]; ``rows`` holds each push's coefficients (a, sig), one row of
+    the lower-triangular system from which ``_power_center`` solves for
+    weights.  The search itself computes no weights.  Each round pivots
+    on the worst violator p (Gartner 1999), which lies on the boundary of
+    the ball of the current basis plus p, and solves that problem of at
+    most k + 2 rows (k = T.shape[1]) by Welzl's move-to-front recursion;
+    v grows strictly from round to round.  The ball of a basis is the
+    point of aff(T[R]) with equal power on R, built one member at a time:
+    each new offset from T[R[0]] is orthogonalized against the basis span,
     leaving one equation for one new coordinate.  A violator that would
     make the basis singular (a Gram-Schmidt pivot at most 1e-12 of the
     basis scale) is not pushed: in exact arithmetic an affinely dependent
     violator cannot occur, so it violates by rounding only, and every
-    caller measures the returned y against all rows.
+    caller measures the returned y against all rows.  The system's largest
+    |entry| and smallest pivot, which the singularity test reads, are
+    carried as running values.  Small products use ``ndarray.dot``, which
+    calls the same BLAS routines as ``@`` with less dispatch.
     """
     k = T.shape[1]
 
     def push(ball, p):
-        R, Q, A, z, _, _ = ball
+        # ball: R, Q, z, rows, then the largest |entry| and the smallest
+        # pivot of the triangular system, then y and v over R
+        R, Q, z, rows, amax, piv, _, _ = ball
         if not R:
-            return [p], Q, A, z, T[p].copy(), float(c[p])
-        e = T[p] - T[R[0]]
-        a = Q @ e
-        w = e - a @ Q
-        a2 = Q @ w  # second Gram-Schmidt pass keeps Q orthonormal
-        w -= a2 @ Q
-        a += a2
-        sig = float(np.sqrt(w @ w))
+            return [p], Q, z, rows, amax, piv, T[p].copy(), float(c[p])
+        t0 = T[R[0]]
+        e = T[p] - t0
+        ee = float(e.dot(e))
+        if len(R) == 1:  # nothing to project out: a is empty and w = e
+            a, w, ww, az = z, e, ee, 0.0
+        else:
+            a = Q.dot(e)
+            w = e - a.dot(Q)
+            a2 = Q.dot(w)  # second Gram-Schmidt pass keeps Q orthonormal
+            w -= a2.dot(Q)
+            a += a2
+            ww, az = float(w.dot(w)), float(a.dot(z))
+        sig = math.sqrt(ww)
         # singular: some Gram-Schmidt pivot, old or new, is at most 1e-12
         # of the largest offset coordinate
-        scale = max(float(np.sqrt(e @ e)), np.abs(A).max(initial=0.0))
-        if not min(sig, np.diag(A).min(initial=np.inf)) > 1e-12 * scale:
+        if not min(sig, piv) > 1e-12 * max(math.sqrt(ee), amax):
             return None
         # 2 e.(y - t_0) = ||e||^2 + c_p - c_0 with y - t_0 = z @ Q
-        zp = (0.5 * (float(e @ e) + c[p] - c[R[0]]) - float(a @ z)) / sig
-        r = len(R) - 1
-        A2 = np.zeros((r + 1, r + 1))
-        A2[:r, :r], A2[r, :r], A2[r, r] = A, a, sig
-        Q, z, R = np.vstack([Q, w / sig]), np.append(z, zp), R + [p]
-        y = T[R[0]] + z @ Q
+        zp = (0.5 * (ee + c[p] - c[R[0]]) - az) / sig
+        Q = np.concatenate((Q, (w / sig)[None]))
+        z = np.array([*z.tolist(), zp])
+        R = R + [p]
+        y = t0 + z.dot(Q)
         v = float((((y - T[R]) ** 2).sum(axis=1) + c[R]).max())
-        return R, Q, A2, z, y, v
+        amax = max(amax, sig, *np.abs(a).tolist())
+        return R, Q, z, rows + ((a, sig),), amax, min(piv, sig), y, v
 
     def mtf(pts, end, base):
         # the ball of rows pts[:end] with every member of base's R tight
         ball, i = base, 0
         while len(base[0]) <= k and i < end:
-            y, v = ball[4], ball[5]
+            y, v = ball[6], ball[7]
             idx = pts[i:end]
-            hit = np.flatnonzero(((y - T[idx]) ** 2).sum(axis=1) + c[idx] > v)
+            hit = (((y - T[idx]) ** 2).sum(axis=1) + c[idx] > v).nonzero()[0]
             if not hit.size:
                 break
             i += int(hit[0])
@@ -163,21 +182,38 @@ def _power_center(T, c):
             i += 1
         return ball
 
-    empty = [], np.empty((0, k)), np.empty((0, 0)), np.empty(0), None, None
-    ball = push(empty, int(np.argmax(c)))
+    empty = [], np.empty((0, k)), np.empty(0), (), 0.0, math.inf, None, None
+    ball = push(empty, int(c.argmax()))
     while True:
-        y, v = ball[4], ball[5]
+        y, v = ball[6], ball[7]
         excess = ((y - T) ** 2).sum(axis=1) + c - v
-        p = int(np.argmax(excess))
+        p = int(excess.argmax())
         if not excess[p] > 0.0:
             break
         R = np.array(ball[0])
         nxt = mtf(R, R.size, push(empty, p))
-        if not nxt[5] > v:
+        if not nxt[7] > v:
             break
         ball = nxt
-    R, _, A, z, y, _ = ball
-    mu = np.linalg.solve(A.T, z) if len(R) > 1 else np.empty(0)
+    R, _, z, rows, _, _, y, _ = ball
+    return R, y, z, rows
+
+
+def _power_center(T, c):
+    """min_y max_i ||y - t_i||^2 + c_i with its weights.  Returns
+    (y, v, R, lam).
+
+    ``_ball_search`` finds the basis R and y; here lam, the barycentric
+    weights of y over R (y = lam @ T[R]), comes from one triangular solve
+    on the search's Gram-Schmidt rows, and v is measured at y over every
+    row.  Only the callers that read the weights come here: the Newton
+    slope of ``_solve_extension`` and ``_certificate_norm``.
+    """
+    R, y, z, rows = _ball_search(T, c)
+    A = np.zeros((len(rows), len(rows)))
+    for i, (a, sig) in enumerate(rows):
+        A[i, :i], A[i, i] = a, sig
+    mu = np.linalg.solve(A.T, z) if rows else np.empty(0)
     lam = np.concatenate([[1.0 - mu.sum()], mu])
     v = float((((y - T) ** 2).sum(axis=1) + c).max())
     return y, v, R, lam
@@ -332,15 +368,16 @@ def _certified_solve(tgt, d):
 def _level_image(tgt, d, s):
     """Some y with ||y - t_i||^2 <= s d_i^2 for every i, or None.
 
-    One exact solve of v(s), started from the nearest source, on targets
-    taken relative to its target.  The returned y is measured against
-    every source in the original frame; None when that measure is
-    positive (the level is infeasible, or rounding at a tight level).
+    One exact ball search for v(s) on targets taken relative to the
+    target of the nearest source; only y is read, so no weights are
+    computed.  The returned y is measured against every source in the
+    original frame; None when that measure is positive (the level is
+    infeasible, or rounding at a tight level).
     """
-    origin = tgt[int(np.argmin(d))]
-    dd = d * d
-    y = _power_center(tgt - origin, -s * dd)[0] + origin
-    if float((((y - tgt) ** 2).sum(axis=1) - s * dd).max()) > 0.0:
+    origin = tgt[int(d.argmin())]
+    sdd = s * (d * d)
+    y = _ball_search(tgt - origin, -sdd)[1] + origin
+    if float((((y - tgt) ** 2).sum(axis=1) - sdd).max()) > 0.0:
         return None
     return y
 
@@ -377,12 +414,12 @@ def extend_sequential(M: PartialMap, xs: PointCloud, tol=1e-7) -> PointCloud:
     an image within the fixed level lip * (1 + tol/2) of every earlier
     point, not the minimax optimum.  A snapped duplicate takes its
     recorded target; every other step, lip 0 included, takes the image
-    one fixed-level feasibility solve finds.  Only a step that rounding
-    leaves infeasible goes to the optimal solver, without a gate (such a
-    step may legitimately sit a few ulp above lip).  The final map on
-    sources + xs is measured again as a PartialMap and must stay within
-    M.lip * (1 + tol), else SolverStall.  Returns the images of xs in
-    row order.
+    one fixed-level ball search finds, which reads y and no weights.
+    Only a step that rounding leaves infeasible goes to the optimal
+    solver, without a gate (such a step may legitimately sit a few ulp
+    above lip).  The final map on sources + xs is measured again as a
+    PartialMap and must stay within M.lip * (1 + tol), else SolverStall.
+    Returns the images of xs in row order.
     """
     if M.m == 0:
         raise InputError("cannot extend an empty partial map")

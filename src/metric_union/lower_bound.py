@@ -253,8 +253,10 @@ def choose_n_for_epsilon(epsilon: float, seed: int, samples: int = 5,
                          n_cap: int = 512) -> tuple:
     """Smallest power-of-two n whose median delta meets 3/(1+d)^2 >= 3-eps.
 
-    Returns (n, median_delta).  Doubles n from 16 up to ``n_cap``;
-    exceeding the cap raises RetryBudgetExceeded.
+    Returns (n, median_delta, split), where split is the first of the
+    samples, ``sample_split(n, seed)``, so a caller that wants that split
+    need not draw and measure it again.  Doubles n from 16 up to
+    ``n_cap``; exceeding the cap raises RetryBudgetExceeded.
     """
     if not (0.0 < epsilon < 1.0):
         raise InputError(f"epsilon must lie in (0, 1), got {epsilon!r}")
@@ -262,17 +264,16 @@ def choose_n_for_epsilon(epsilon: float, seed: int, samples: int = 5,
     n = 16
     while n <= n_cap:
         try:
-            deltas = sorted(
-                sample_split(n, seed + 1000 * i).delta_star
-                for i in range(samples))
+            splits = [sample_split(n, seed + 1000 * i)
+                      for i in range(samples)]
         except RetryBudgetExceeded:
             # small n cannot even clear the delta < 1 sampling gate, so it
             # certainly misses the (always < 0.225) target; keep doubling
             n *= 2
             continue
-        med = deltas[samples // 2]
+        med = sorted(split.delta_star for split in splits)[samples // 2]
         if med <= target:
-            return n, med
+            return n, med, splits[0]
         n *= 2
     raise RetryBudgetExceeded(
         samples, f"epsilon {epsilon} unreachable at n <= {n_cap}")

@@ -9,6 +9,7 @@ import pytest
 
 import metric_union.cli as cli
 import metric_union.glue as glue
+import metric_union.lower_bound as lower_bound
 from metric_union import (EmbedParams, PointCloud, canonical_dumps,
                           embed_union, external_extend, glued_metric,
                           load_json, parse_glue, sample_glue_instance,
@@ -215,12 +216,20 @@ def test_lowerbound_n16_exhausts_budget(capsys):
     assert payload["witness"]["attempts"] == 64
 
 
-def test_lowerbound_epsilon(capsys):
+def test_lowerbound_epsilon(capsys, monkeypatch):
+    sizes = []
+    measure = lower_bound.measure_delta
+    monkeypatch.setattr(lower_bound, "measure_delta",
+                        lambda mask: sizes.append(mask.shape[0])
+                        or measure(mask))
     assert main(["lowerbound", "--epsilon", "0.95", "--seed", "3"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["epsilon"] == 0.95
     assert 3.0 / (1.0 + rep["median_delta"]) ** 2 >= 3.0 - 0.95
     assert rep["certified_bound"] > 0.0
+    # the reported split is the chosen n's first sample, measured once
+    # with the other four, not drawn and measured again
+    assert sizes.count(rep["n"]) == 5
 
 
 def test_lowerbound_bad_epsilon(capsys):
@@ -405,6 +414,24 @@ def test_non_finite_audit_values_end_in_one_error_line(tmp_path, capsys):
     dumped = json.loads(out_file.read_text())
     assert dumped["error"] == payload
     assert {e["slack"] for e in dumped["audit"] if not e["ok"]} == {"nan"}
+
+
+def test_memory_error_fails_by_name(tmp_path, capsys, monkeypatch):
+    # memory pressure is neither malformed input (1) nor a failed
+    # certificate (2): it exits 3 with the usual JSON error line
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 3.7 GiB for an array")
+
+    monkeypatch.setitem(cli._COMMANDS, "check-metric", exhausted)
+    path = _write(tmp_path, "m.json", {"dist": [[0, 1], [1, 0]]})
+    assert main(["check-metric", "--input", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 2 and err[1].startswith("runtime")
+    payload = json.loads(err[0])
+    assert payload["error"] == "OutOfMemory"
+    assert "3.7 GiB" in payload["message"]
 
 
 def test_runtime_goes_to_stderr_only(tmp_path, capsys):

@@ -253,6 +253,105 @@ def test_certificate_norm_closed_forms():
         assert got <= 1e-15
 
 
+def _power_corpus():
+    """Seeded ``_power_center`` inputs (kind, T, c): k 1-8 and m up to
+    60 at scales 1e-3 to 1e3, with c drawn and c = 0, on distinct and on
+    coincident targets; regular simplices, whose ball needs all k + 1
+    vertices; collinear rows of equal power at the midpoint of the outer
+    two, where rounding makes affinely dependent violators; and targets
+    a few ulps apart with a far one, where rounding builds a basis with
+    a tiny pivot, new or old, that must keep a row from being pushed."""
+    rng = stream(0, "test.kirsz.power")
+    for _ in range(60):
+        k, m = int(rng.integers(1, 9)), int(rng.integers(1, 61))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        T = rng.normal(size=(m, k)) * scale
+        dup = T[rng.integers(m, size=m)]
+        for tgt in (T, dup):
+            yield "drawn", tgt, -rng.uniform(0.0, 4.0, size=m) * scale ** 2
+            yield "zero", tgt, np.zeros(m)
+    for k in range(1, 9):
+        simplex = np.vstack([np.eye(k),
+                             np.full((1, k), (1.0 - np.sqrt(k + 1.0)) / k)])
+        yield "simplex", simplex, np.zeros(k + 1)
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        a, b = rng.normal(size=k), rng.normal(size=k)
+        T = np.vstack([a, b, a + rng.uniform(0.05, 0.95, size=(4, 1))
+                       * (b - a)])
+        yield "collinear", T, -((0.5 * (a + b) - T) ** 2).sum(axis=1)
+    for rows in ((("-0x1.5a2b047a0311ap+0", "-0x1.3ee3020bed222p-2"),
+                  ("-0x1.5a2b047a0312fp+0", "-0x1.3ee3020bed1d7p-2"),
+                  ("0x1.cd00f1054d2bfp-2", "0x1.bf0153464d248p+0")),
+                 (("-0x1.6c70916d4e2fdp+0", "-0x1.29da5d4285f1cp+0"),
+                  ("-0x1.6c70916d4e304p+0", "-0x1.29da5d4285f27p+0"),
+                  ("-0x1.6c70916d4e2f2p+0", "-0x1.29da5d4285f20p+0"),
+                  ("-0x1.9518e1a320c72p+0", "-0x1.8287224abffa8p-1"))):
+        T = np.array([[float.fromhex(h) for h in row] for row in rows])
+        yield "ulps", T, np.zeros(len(rows))
+
+
+def test_power_center_bookkeeping():
+    # every call: weights sum to 1 and rebuild y, v is the all-row maximum
+    # at y, no row exceeds the basis's power beyond rounding, and the
+    # basis is affinely independent with at most k + 1 members
+    full = 0
+    for kind, T, c in _power_corpus():
+        k = T.shape[1]
+        scale = max(float(np.abs(T).max()), float(np.abs(c).max()) ** 0.5)
+        y, v, R, lam = kirszbraun._power_center(T, c)
+        power = ((y - T) ** 2).sum(axis=1) + c
+        assert abs(float(lam.sum()) - 1.0) <= 1e-12
+        assert np.abs(lam @ T[R] - y).max() <= 1e-12 * scale
+        assert v == float(power.max())
+        assert v - float(power[R].max()) <= 1e-12 * scale ** 2
+        assert len(set(R)) == len(R) <= k + 1
+        if len(R) > 1:
+            sv = np.linalg.svd(T[R[1:]] - T[R[0]], compute_uv=False)
+            assert sv.min() > 1e-6 * sv.max()
+        full += len(R) == k + 1
+        if kind == "collinear":
+            # every row is tight at the midpoint of the outer two
+            assert np.abs(y - 0.5 * (T[0] + T[1])).max() <= 1e-9 * scale
+            assert abs(v) <= 1e-12 * scale ** 2
+    assert full >= 8   # the simplices at least
+
+
+@pytest.fixture()
+def solve_calls(monkeypatch):
+    """The matrix shape of every ``np.linalg.solve`` call made while the
+    test runs."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def test_fixed_level_placement_solves_for_no_weights(monkeypatch,
+                                                     solve_calls):
+    # the fixed-level step reads only the image, so the seed-0 battery's
+    # placements make no weight solve; the optimal solver still does
+    levels = []
+    level = kirszbraun._level_image
+    monkeypatch.setattr(kirszbraun, "_level_image",
+                        lambda *a: levels.append(a[2]) or level(*a))
+    params = EmbedParams.derive(0.5, 1.0, 1.0)
+    for inst in _Context(0).battery():
+        embed_union(inst.space, inst.partition, inst.phi_a, inst.phi_b,
+                    params=params)
+    assert len(levels) > 2000 and not solve_calls
+    rng = stream(3, "test.kirsz.solves")
+    M = PartialMap(PointCloud(rng.normal(size=(8, 3))),
+                   PointCloud(rng.normal(size=(8, 2))))
+    extend_one_point(M, rng.normal(size=3))
+    assert solve_calls
+
+
 def test_sequential_extension_deterministic():
     rng = stream(12, "test.kirsz.det")
     M = PartialMap(PointCloud(rng.normal(size=(6, 2))),

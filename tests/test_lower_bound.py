@@ -295,9 +295,14 @@ def test_choose_n_validation():
 
 
 def test_choose_n_meets_loose_target():
-    n, med = choose_n_for_epsilon(0.95, seed=7, samples=3)
+    n, med, split = choose_n_for_epsilon(0.95, seed=7, samples=3)
     assert n <= 512
     assert 3.0 / (1.0 + med) ** 2 >= 3.0 - 0.95
+    # the returned split is the first sample, sample_split(n, seed)
+    first = sample_split(n, seed=7)
+    np.testing.assert_array_equal(split.mask, first.mask)
+    assert (split.delta_star, split.attempts) == (first.delta_star,
+                                                  first.attempts)
 
 
 def test_split_deterministic():
