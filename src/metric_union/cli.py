@@ -54,6 +54,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text):
+    """--seed: an integer in [0, 2**64), the range every stream accepts."""
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(
+            f"seed must lie in [0, 2**64), got {value}")
+    return value
+
+
 def _finite_or_text(value):
     """A jsonable structure with each non-finite float written as "inf",
     "-inf" or "nan": error output must serialize whatever the failure."""
@@ -253,7 +262,7 @@ def _build_parser():
             p.add_argument("--input", required=True)
         p.add_argument("--output", default=None)
         if flags.get("seed"):
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         if flags.get("alpha"):
             p.add_argument("--alpha", type=float, default=None)
         if flags.get("tol"):

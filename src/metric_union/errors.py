@@ -180,18 +180,6 @@ class AuditViolation(MetricUnionError):
 # ---------------------------------------------------------------------------
 # lower-bound instances
 
-class DuplicateEdge(MetricUnionError):
-    def __init__(self, u, w):
-        self.u, self.w = u, w
-        super().__init__(f"edge ({u}, {w}) listed more than once")
-
-
-class SelfLoop(MetricUnionError):
-    def __init__(self, u):
-        self.u = u
-        super().__init__(f"self-loop at vertex {u}")
-
-
 class RetryBudgetExceeded(MetricUnionError):
     def __init__(self, attempts, reason):
         self.attempts, self.reason = attempts, reason

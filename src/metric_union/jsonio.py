@@ -107,7 +107,7 @@ def _matrix(value, where):
     numbers here, as they are not indices in ``_integer``."""
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):   # 10**400 overflows
         raise InputError(f"{where} must be a numeric matrix") from None
     if arr.ndim != 2:
         raise InputError(f"{where} must be two-dimensional")

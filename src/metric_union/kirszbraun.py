@@ -382,14 +382,23 @@ def _level_image(tgt, d, s):
     return y
 
 
+def _check_tol(tol):
+    """A relative tolerance must be finite and >= 0: a NaN or infinite one
+    would make every ``> lip * (1 + tol)`` gate pass."""
+    if not 0.0 <= tol < math.inf:
+        raise InputError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def extend_one_point(M: PartialMap, x, tol=1e-7) -> np.ndarray:
     """Image for a new source ``x`` keeping the map within lip(1 + tol).
 
     Exact duplicates of existing sources (and near-duplicates, within
     1e-12 of the source scale) short-circuit to the recorded target.
     Raises SolverStall when the optimized objective exceeds
-    lip * (1 + tol), and on a failed first-order certificate.
+    lip * (1 + tol), and on a failed first-order certificate.  A tol that
+    is NaN, infinite or negative raises InputError.
     """
+    _check_tol(tol)
     if M.m == 0:
         raise InputError("cannot extend an empty partial map")
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -419,8 +428,10 @@ def extend_sequential(M: PartialMap, xs: PointCloud, tol=1e-7) -> PointCloud:
     solver, without a gate (such a step may legitimately sit a few ulp
     above lip).  The final map on sources + xs is measured again as a
     PartialMap and must stay within M.lip * (1 + tol), else SolverStall.
-    Returns the images of xs in row order.
+    Returns the images of xs in row order.  A tol that is NaN, infinite
+    or negative raises InputError.
     """
+    _check_tol(tol)
     if M.m == 0:
         raise InputError("cannot extend an empty partial map")
     if xs.m and xs.dim != M.sources.dim:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DuplicateEdge, InputError, RangeViolation,
-                     RetryBudgetExceeded, SelfLoop, SingularPencil)
+from .errors import (InputError, RangeViolation, RetryBudgetExceeded,
+                     SingularPencil)
 from . import metric
 from .linalg import sym_eigen
 from .metric import FiniteMetricSpace, _readonly, build_partition
@@ -29,9 +29,8 @@ from .metric import validate_metric  # noqa: F401
 from .seeds import stream
 
 __all__ = [
-    "BipartiteSplit", "laplacian", "sample_split", "measure_delta",
-    "sandwich_margin", "build_123_metric", "certified_lower_bound",
-    "ratio_check", "choose_n_for_epsilon",
+    "BipartiteSplit", "sample_split", "measure_delta", "build_123_metric",
+    "certified_lower_bound", "ratio_check", "choose_n_for_epsilon",
 ]
 
 _MAX_ATTEMPTS = 64
@@ -40,6 +39,9 @@ _DELTA_CUSHION = 1e-9
 # of a disconnected class; a connected class on 2n vertices has
 # lam_min >= 1/n^3, far above it at any n a dense eigensolve can reach
 _SINGULAR_FLOOR = 1e-12
+# choose_n_for_epsilon: splits sampled per n, and the largest n it tries
+_SAMPLES = 5
+_N_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -50,12 +52,12 @@ class BipartiteSplit:
     ``mask[i, j]`` puts the edge between vertex i of side A and vertex
     n + j of side B into e1, else into e2.  ``delta_star`` is measured at
     construction, never given: ``measure_delta(mask)`` plus a 1e-9
-    cushion.  A mask that is not square and boolean raises InputError, and
-    a disconnected edge class raises SingularPencil.
+    cushion.  ``attempts`` is the number of draws ``sample_split`` took
+    to reach this mask.  A mask that is not square and boolean raises
+    InputError, and a disconnected edge class raises SingularPencil.
     """
 
     mask: np.ndarray
-    seed: int
     attempts: int
     delta_star: float = field(init=False)
 
@@ -71,41 +73,6 @@ class BipartiteSplit:
     @property
     def n(self):
         return self.mask.shape[0]
-
-
-def laplacian(n_vertices: int, edges) -> np.ndarray:
-    """Graph Laplacian: degrees on the diagonal, -1 per edge."""
-    e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    if e.size and (e.min() < 0 or e.max() >= n_vertices):
-        raise InputError("edge endpoint out of range")
-    loops = e[:, 0] == e[:, 1]
-    if loops.any():
-        raise SelfLoop(int(e[np.argmax(loops), 0]))
-    key = np.sort(e, axis=1)
-    order = np.lexsort((key[:, 1], key[:, 0]))
-    k = key[order]
-    if k.shape[0] > 1:
-        dup = (k[1:] == k[:-1]).all(axis=1)
-        if dup.any():
-            u, v = k[int(np.argmax(dup))]
-            raise DuplicateEdge(int(u), int(v))
-    L = np.zeros((n_vertices, n_vertices))
-    np.add.at(L, (e[:, 0], e[:, 1]), -1.0)
-    np.add.at(L, (e[:, 1], e[:, 0]), -1.0)
-    deg = np.bincount(e.ravel(), minlength=n_vertices).astype(np.float64)
-    L[np.arange(n_vertices), np.arange(n_vertices)] = deg
-    return L
-
-
-def _helmert(n):
-    """Orthonormal basis of the hyperplane orthogonal to the ones vector,
-    as the columns of an (n, n-1) matrix."""
-    Q = np.zeros((n, n - 1))
-    for k in range(1, n):
-        Q[:k, k - 1] = 1.0
-        Q[k, k - 1] = -float(k)
-        Q[:, k - 1] /= np.sqrt(k * (k + 1.0))
-    return Q
 
 
 def measure_delta(mask) -> float:
@@ -143,20 +110,6 @@ def measure_delta(mask) -> float:
     return max(1.0 / lam_min - 1.0, 1.0 / (2.0 - lam_max) - 1.0)
 
 
-def sandwich_margin(L, Li, delta) -> float:
-    """Worst PSD margin of the two sandwich sides at the given delta.
-
-    Nonnegative (within round-off) iff
-    (1+delta)^-1 Li <= L/2 <= (1+delta) Li on the ones-complement.
-    """
-    Q = _helmert(L.shape[0])
-    M = Q.T @ (np.asarray(L) / 2.0) @ Q
-    K = Q.T @ np.asarray(Li, dtype=np.float64) @ Q
-    hi = sym_eigen((1.0 + delta) * K - M).values[-1]
-    lo = sym_eigen(M - K / (1.0 + delta)).values[-1]
-    return float(min(hi, lo))
-
-
 def sample_split(n: int, seed: int) -> BipartiteSplit:
     """Uniform edge split of K_{n,n}, resampled until usable.
 
@@ -170,8 +123,7 @@ def sample_split(n: int, seed: int) -> BipartiteSplit:
     for attempt in range(_MAX_ATTEMPTS):
         rng = stream(seed, "lower_bound.split", attempt)
         try:
-            split = BipartiteSplit(rng.random((n, n)) < 0.5, int(seed),
-                                   attempt + 1)
+            split = BipartiteSplit(rng.random((n, n)) < 0.5, attempt + 1)
         except SingularPencil:   # an edge class is disconnected
             continue
         if split.delta_star < 1.0:
@@ -249,31 +201,31 @@ def ratio_check(split: BipartiteSplit, images) -> tuple:
     return tuple(out)
 
 
-def choose_n_for_epsilon(epsilon: float, seed: int, samples: int = 5,
-                         n_cap: int = 512) -> tuple:
+def choose_n_for_epsilon(epsilon: float, seed: int) -> tuple:
     """Smallest power-of-two n whose median delta meets 3/(1+d)^2 >= 3-eps.
 
+    The median is over 5 splits, ``sample_split(n, seed + 1000 * i)``.
     Returns (n, median_delta, split), where split is the first of the
     samples, ``sample_split(n, seed)``, so a caller that wants that split
-    need not draw and measure it again.  Doubles n from 16 up to
-    ``n_cap``; exceeding the cap raises RetryBudgetExceeded.
+    need not draw and measure it again.  Doubles n from 16 up to 512;
+    exceeding the cap raises RetryBudgetExceeded.
     """
     if not (0.0 < epsilon < 1.0):
         raise InputError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     target = np.sqrt(3.0 / (3.0 - epsilon)) - 1.0
     n = 16
-    while n <= n_cap:
+    while n <= _N_CAP:
         try:
             splits = [sample_split(n, seed + 1000 * i)
-                      for i in range(samples)]
+                      for i in range(_SAMPLES)]
         except RetryBudgetExceeded:
             # small n cannot even clear the delta < 1 sampling gate, so it
             # certainly misses the (always < 0.225) target; keep doubling
             n *= 2
             continue
-        med = sorted(split.delta_star for split in splits)[samples // 2]
+        med = sorted(split.delta_star for split in splits)[_SAMPLES // 2]
         if med <= target:
             return n, med, splits[0]
         n *= 2
     raise RetryBudgetExceeded(
-        samples, f"epsilon {epsilon} unreachable at n <= {n_cap}")
+        _SAMPLES, f"epsilon {epsilon} unreachable at n <= {_N_CAP}")

@@ -10,6 +10,8 @@ import zlib
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = ["stream"]
 
 
@@ -22,9 +24,10 @@ def stream(seed: int, name: str, index: int = 0) -> np.random.Generator:
     """Return a fresh Generator for (seed, name, index).
 
     Same triple, same stream, regardless of how many other streams were
-    consumed before it.
+    consumed before it.  A seed outside [0, 2**64) raises InputError.
     """
     if not (0 <= int(seed) < 2 ** 64):
-        raise ValueError("seed must be an unsigned 64-bit integer")
+        raise InputError(f"seed must be an unsigned 64-bit integer, "
+                         f"got {seed!r}")
     ss = np.random.SeedSequence((int(seed), _name_key(name), int(index)))
     return np.random.Generator(np.random.Philox(ss))

@@ -38,7 +38,7 @@ import numpy as np
 from . import metric
 from .cover import CoverResult, build_cover, f_lip_bound
 from .errors import AuditViolation, InputDistortionError, InputError
-from .kirszbraun import PartialMap, extend_sequential
+from .kirszbraun import PartialMap, _check_tol, extend_sequential
 from .linalg import PointCloud, _carrying, _measured, direct_sum
 from .metric import (DistortionReport, FiniteMetricSpace, UnionPartition,
                      _distortion_report)
@@ -87,6 +87,7 @@ class EmbedParams:
         if d_a < 1.0 or d_b < 1.0:
             raise InputError(
                 f"side constants must be >= 1, got {d_a!r}, {d_b!r}")
+        _check_tol(tol)
         beta = (1.0 + alpha) * (2.0 * d_a * d_b + 1.0)
         return EmbedParams(alpha=float(alpha), d_a=float(d_a),
                            d_b=float(d_b), beta=beta,

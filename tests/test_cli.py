@@ -258,6 +258,20 @@ def test_seed_only_where_randomness_is_drawn(embed_input, capsys):
         assert _stderr_payload(capsys)["error"] == "_UsageError"
 
 
+@pytest.mark.parametrize("argv", [["lowerbound", "--n", "16", "--seed", "-1"],
+                                  ["selftest", "--seed", "-3"],
+                                  ["lowerbound", "--epsilon", "0.5", "--seed",
+                                   str(2 ** 64)]])
+def test_out_of_range_seed_is_a_usage_error(argv, capsys):
+    # stream's range is [0, 2**64); selftest printed a table of FAIL rows
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 2 and err[1].startswith("runtime")
+    assert json.loads(err[0])["error"] == "_UsageError"
+
+
 def test_glue_command(tmp_path, capsys):
     path = _write(tmp_path, "glue.json", {
         "u_points": {"points": [[0.0], [1.0], [2.0]]},
@@ -320,6 +334,43 @@ def test_usage_errors(tmp_path, capsys):
     assert _stderr_payload(capsys)["error"] == "InputError"
     assert main(["check-metric", "--input",
                  str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+def test_malformed_tol_is_an_input_error(tmp_path, capsys, embed_input, tol):
+    # a NaN tol reached the audit and failed there, exit 2
+    glue_path = _write(tmp_path, "glue.json", {
+        "u_points": {"points": [[0.0], [1.0], [2.0]]},
+        "v_points": {"points": [[0.0], [2.0], [1.0]]},
+        "a_idx": [0, 1, 2], "b_idx": [0, 1, 2], "pairing": [0, 1, 2],
+    })
+    for argv in (["embed", "--input", embed_input[0]],
+                 ["embed", "--input", embed_input[0], "--alpha", "0.5"],
+                 ["glue", "--input", glue_path]):
+        assert main([*argv, f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 2
+        assert json.loads(captured.err.splitlines()[0])["error"] == \
+            "InputError"
+
+
+def test_number_beyond_float_range_is_an_input_error(tmp_path, capsys,
+                                                     embed_input):
+    # 10**400 is a valid JSON integer that float64 cannot hold
+    huge = _write(tmp_path, "huge.json", {"dist": [[0, 10 ** 400],
+                                                   [10 ** 400, 0]]})
+    obj = load_json(embed_input[0])
+    obj["phi_b"]["points"][0][0] = 10 ** 400
+    phi = _write(tmp_path, "phi.json", obj)
+    for argv in (["check-metric", "--input", huge],
+                 ["embed", "--input", phi]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 2
+        assert json.loads(captured.err.splitlines()[0])["error"] == \
+            "InputError"
 
 
 def test_glue_bad_pairing_maps_to_input_error(tmp_path, capsys):

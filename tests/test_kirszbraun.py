@@ -373,6 +373,21 @@ def test_zero_tolerance_stalls_cleanly():
     assert ei.value.objective >= ei.value.target
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_malformed_tolerance_is_an_input_error(tol):
+    # a NaN or infinite tol makes "final_lip > lip * (1 + tol)" False, so
+    # the gate passed a map with Lipschitz constant 11.25 against lip 3
+    M = PartialMap(PointCloud(np.array([[0.0], [0.3]])),
+                   PointCloud(np.array([[0.0], [0.9]])))
+    xs = PointCloud(np.array([[0.15], [0.07], [0.22]]))
+    with pytest.raises(InputError):
+        extend_sequential(M, xs, tol=tol)
+    with pytest.raises(InputError):
+        extend_one_point(M, [0.15], tol=tol)
+    with pytest.raises(InputError):
+        EmbedParams.derive(0.5, 1.0, 1.0, tol)
+
+
 def test_two_dimensional_grid_oracle():
     # independent coarse-to-fine grid search for the planar minimax
     for seed in range(6):

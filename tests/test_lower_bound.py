@@ -7,13 +7,12 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse import csr_matrix
 
 import metric_union.lower_bound as lower_bound
-from metric_union import (BipartiteSplit, DuplicateEdge, InputError,
-                          RangeViolation, RetryBudgetExceeded, SelfLoop,
-                          SingularPencil, build_123_metric,
-                          certified_lower_bound, choose_n_for_epsilon,
-                          distortion_of, laplacian, mds_best_effort,
-                          measure_delta, ratio_check, sample_split,
-                          sandwich_margin, stream, validate_metric)
+from metric_union import (BipartiteSplit, InputError, RangeViolation,
+                          RetryBudgetExceeded, SingularPencil,
+                          build_123_metric, certified_lower_bound,
+                          choose_n_for_epsilon, distortion_of,
+                          mds_best_effort, measure_delta, ratio_check,
+                          sample_split, stream, validate_metric)
 
 
 def _oracle_delta(L, L1, L2):
@@ -50,54 +49,25 @@ def _raw_masks(n, seed, count):
 
 
 def _mask_laplacians(mask):
+    """L, L1 and L2 of K_{n,n} and its two edge classes, each as degree
+    minus adjacency over the 2n vertices."""
     n = mask.shape[0]
-    r, c = np.nonzero(mask)
-    e1 = np.column_stack([r, c + n])
-    r, c = np.nonzero(~mask)
-    e2 = np.column_stack([r, c + n])
-    L = laplacian(2 * n, np.concatenate([e1, e2]))
-    return L, laplacian(2 * n, e1), laplacian(2 * n, e2), e1, e2
-
-
-def test_laplacian_path_graph():
-    L = laplacian(4, [(0, 1), (1, 2), (2, 3)])
-    expected = np.array([[1., -1., 0., 0.],
-                         [-1., 2., -1., 0.],
-                         [0., -1., 2., -1.],
-                         [0., 0., -1., 1.]])
-    np.testing.assert_array_equal(L, expected)
-
-
-def test_laplacian_quadratic_form():
-    rng = stream(3, "test.lapquad")
-    for _ in range(10):
-        n = int(rng.integers(3, 12))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        take = rng.random(len(pairs)) < 0.5
-        edges = [p for p, t in zip(pairs, take) if t]
-        if not edges:
-            continue
-        L = laplacian(n, edges)
-        x = rng.normal(size=n)
-        direct = sum((x[u] - x[v]) ** 2 for u, v in edges)
-        assert x @ L @ x == pytest.approx(direct, rel=1e-12)
-
-
-def test_laplacian_rejects_bad_edges():
-    with pytest.raises(SelfLoop):
-        laplacian(3, [(0, 1), (2, 2)])
-    with pytest.raises(DuplicateEdge):
-        laplacian(3, [(0, 1), (1, 0)])
-    with pytest.raises(InputError):
-        laplacian(3, [(0, 5)])
+    out = []
+    for m in (np.ones_like(mask), mask, ~mask):
+        adj = np.zeros((2 * n, 2 * n))
+        adj[:n, n:] = m
+        adj[n:, :n] = m.T
+        out.append(np.diag(adj.sum(axis=1)) - adj)
+    return tuple(out)
 
 
 def test_measure_delta_matches_generalized_eig_oracle():
-    for n in (8, 32):
-        for mask in _raw_masks(n, seed=4, count=4):
-            L, L1, L2, _, _ = _mask_laplacians(mask)
-            ours = measure_delta(mask)
-            assert ours == pytest.approx(_oracle_delta(L, L1, L2), abs=1e-9)
+    masks = [m for n in (8, 32) for m in _raw_masks(n, seed=4, count=4)]
+    # and one mask the library samples itself
+    for mask in masks + [sample_split(64, seed=1).mask]:
+        L, L1, L2 = _mask_laplacians(mask)
+        ours = measure_delta(mask)
+        assert ours == pytest.approx(_oracle_delta(L, L1, L2), abs=1e-9)
 
 
 def test_measure_delta_disconnected_class_is_singular():
@@ -117,17 +87,6 @@ def test_measure_delta_disconnected_class_is_singular():
         measure_delta(np.ones((3, 4), dtype=bool))
 
 
-def test_sandwich_margin_sign():
-    split = sample_split(64, seed=1)
-    L, L1, L2, _, _ = _mask_laplacians(split.mask)
-    measured = split.delta_star - 1e-9
-    at_star = min(sandwich_margin(L, Li, split.delta_star) for Li in (L1, L2))
-    below = min(sandwich_margin(L, Li, measured - 1e-5) for Li in (L1, L2))
-    assert at_star >= -1e-12
-    assert below < 0.0
-    assert below < at_star
-
-
 def test_sample_split_certificate_recomputes():
     split = sample_split(64, seed=2)
     assert split.attempts >= 1
@@ -145,13 +104,13 @@ def test_split_measures_its_own_delta():
     masks = [sample_split(n, seed).mask for n, seed in ((32, 0), (64, 5))]
     for mask in masks + [_RING_MASK]:
         given = np.array(mask)
-        split = BipartiteSplit(given, 0, 1)
+        split = BipartiteSplit(given, 1)
         assert split.delta_star == measure_delta(mask) + 1e-9
         assert split.n == mask.shape[0]
         np.testing.assert_array_equal(split.mask, mask)
         assert not split.mask.flags.writeable and given.flags.writeable
     with pytest.raises(TypeError):
-        BipartiteSplit(_RING_MASK, 0, 1, delta_star=0.1)
+        BipartiteSplit(_RING_MASK, 1, delta_star=0.1)
     with pytest.raises(AttributeError):
         split.delta_star = 0.1
 
@@ -161,12 +120,12 @@ def test_split_rejects_masks_without_a_certificate():
     for bad in (hand.astype(np.float64), hand[:, :3], hand.ravel(),
                 np.zeros((0, 0), dtype=bool)):
         with pytest.raises(InputError):
-            BipartiteSplit(bad, 0, 1)
+            BipartiteSplit(bad, 1)
     # a vertex with no e1 edge, and one with no e2 edge
     for mask, which in ((hand & [[0], [1], [1], [1]], "e1"),
                         (hand | [[1], [0], [0], [0]], "e2")):
         with pytest.raises(SingularPencil) as info:
-            BipartiteSplit(mask.astype(bool), 0, 1)
+            BipartiteSplit(mask.astype(bool), 1)
         assert info.value.which == which
 
 
@@ -197,6 +156,9 @@ def test_sample_split_small_n_exhausts_budget():
     assert info.value.attempts == 64
     with pytest.raises(InputError):
         sample_split(3, seed=0)
+    for seed in (-1, 2 ** 64):   # outside every stream's seed range
+        with pytest.raises(InputError):
+            sample_split(64, seed)
 
 
 def test_raw_delta_shrinks_with_n():
@@ -240,7 +202,7 @@ def test_123_structure_check_matches_full_validation(monkeypatch):
         for seed in range(5):
             mask = stream(seed, "test.123_mask", n).random((n, n)) < 0.5
             try:
-                split = BipartiteSplit(mask, seed, 1)
+                split = BipartiteSplit(mask, 1)
             except SingularPencil:
                 continue   # a class is disconnected: no split, no bound
             X, _ = build_123_metric(split)
@@ -285,17 +247,21 @@ def test_ratio_check_flags_impossible_images(monkeypatch):
     assert info.value.measured < info.value.lo
 
 
-def test_choose_n_validation():
+def test_choose_n_validation(monkeypatch):
     with pytest.raises(InputError):
         choose_n_for_epsilon(0.0, seed=0)
     with pytest.raises(InputError):
         choose_n_for_epsilon(1.0, seed=0)
-    with pytest.raises(RetryBudgetExceeded):
-        choose_n_for_epsilon(0.01, seed=0, samples=1, n_cap=32)
+    # a cap of 32 keeps the unreachable case fast: 16 and 32 are tried
+    monkeypatch.setattr(lower_bound, "_N_CAP", 32)
+    with pytest.raises(RetryBudgetExceeded) as info:
+        choose_n_for_epsilon(0.01, seed=0)
+    assert "n <= 32" in str(info.value)
 
 
-def test_choose_n_meets_loose_target():
-    n, med, split = choose_n_for_epsilon(0.95, seed=7, samples=3)
+def test_choose_n_meets_loose_target(monkeypatch):
+    monkeypatch.setattr(lower_bound, "_SAMPLES", 3)
+    n, med, split = choose_n_for_epsilon(0.95, seed=7)
     assert n <= 512
     assert 3.0 / (1.0 + med) ** 2 >= 3.0 - 0.95
     # the returned split is the first sample, sample_split(n, seed)
