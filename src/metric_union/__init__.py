@@ -33,9 +33,8 @@ from .lower_bound import (BipartiteSplit, build_123_metric,
 from .metric import (DistortionReport, FiniteMetricSpace, UnionPartition,
                      build_partition, distortion_of, validate_metric)
 from .seeds import stream
-from .union_embed import (AuditEntry, EmbedParams, PsiResult, UnionEmbedding,
-                          build_psi, embed_union, headline_bound,
-                          select_alpha)
+from .union_embed import (AuditEntry, EmbedParams, UnionEmbedding,
+                          embed_union, headline_bound, select_alpha)
 
 __version__ = "0.1.0"
 
@@ -48,10 +47,10 @@ __all__ = [
     "InputError", "Instance", "LengthMismatchError", "MetricUnionError",
     "MetricValidationError", "NegativeDistanceError", "NonzeroDiagonal",
     "NotEuclidean", "NotSymmetricError", "OutOfMemory", "PartialMap",
-    "PointCloud", "PsiResult", "RangeViolation", "RetryBudgetExceeded",
+    "PointCloud", "RangeViolation", "RetryBudgetExceeded",
     "SingularPencil", "SolverStall", "SymEigen", "TriangleViolation",
     "UnionEmbedding", "UnionPartition", "ZeroOffDiagonal", "build_123_metric",
-    "build_cover", "build_partition", "build_psi", "canonical_dumps",
+    "build_cover", "build_partition", "canonical_dumps",
     "certified_lower_bound", "certify_f_lipschitz", "choose_n_for_epsilon",
     "direct_sum", "distort_sides", "distortion_of", "embed_union",
     "extend_one_point", "extend_sequential", "external_extend", "f_lip_bound",

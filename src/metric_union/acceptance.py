@@ -15,6 +15,7 @@ seed; timing per check goes to stderr.
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -59,102 +60,89 @@ class _Context:
 
     def __init__(self, seed):
         self.seed = seed
-        self._battery = None
-        self._runs_half = None
-        self._runs_iso = None
-        self._distorted = None
-        self._splits = None
-        self._glue = None
-        self.battery_seconds = None
+        self.battery_seconds = None   # set when runs_half is first built
 
+    @cached_property
     def battery(self):
-        if self._battery is None:
-            insts = []
-            for k in range(50):
-                rng = stream(self.seed, "acceptance.sizes", k)
-                insts.append(union_instance(
-                    int(rng.integers(10, 61)), int(rng.integers(10, 61)),
-                    int(rng.integers(2, 9)), int(rng.integers(2, 9)),
-                    seed=self.seed + k))
-            self._battery = insts
-        return self._battery
+        insts = []
+        for k in range(50):
+            rng = stream(self.seed, "acceptance.sizes", k)
+            insts.append(union_instance(
+                int(rng.integers(10, 61)), int(rng.integers(10, 61)),
+                int(rng.integers(2, 9)), int(rng.integers(2, 9)),
+                seed=self.seed + k))
+        return insts
 
+    @cached_property
     def runs_half(self):
-        if self._runs_half is None:
-            params = EmbedParams.derive(0.5, 1.0, 1.0)
-            t0 = time.perf_counter()
-            self._runs_half = [
-                embed_union(i.space, i.partition, i.phi_a, i.phi_b,
+        params = EmbedParams.derive(0.5, 1.0, 1.0)
+        t0 = time.perf_counter()
+        runs = [embed_union(i.space, i.partition, i.phi_a, i.phi_b,
                             params=params)
-                for i in self.battery()]
-            self.battery_seconds = time.perf_counter() - t0
-        return self._runs_half
+                for i in self.battery]
+        self.battery_seconds = time.perf_counter() - t0
+        return runs
 
+    @cached_property
     def runs_iso(self):
-        if self._runs_iso is None:
-            params = EmbedParams.derive(0.3114, 1.0, 1.0)
-            self._runs_iso = [
-                embed_union(i.space, i.partition, i.phi_a, i.phi_b,
+        params = EmbedParams.derive(0.3114, 1.0, 1.0)
+        return [embed_union(i.space, i.partition, i.phi_a, i.phi_b,
                             params=params)
-                for i in self.battery()]
-        return self._runs_iso
+                for i in self.battery]
 
+    @cached_property
     def distorted(self):
         """20 instances with first-coordinate side scalings, plus bounds."""
-        if self._distorted is None:
-            factors = [(da, db) for da in (1.5, 2.0, 3.0)
-                       for db in (1.5, 2.0, 3.0)]
-            out = []
-            for k in range(20):
-                rng = stream(self.seed, "acceptance.distorted", k)
-                base = union_instance(
-                    int(rng.integers(10, 41)), int(rng.integers(10, 41)),
-                    int(rng.integers(2, 9)), int(rng.integers(2, 9)),
-                    seed=self.seed + 500 + k)
-                da, db = factors[k % len(factors)]
-                inst = distort_sides(base, da, db)
-                params = EmbedParams.derive(0.5, da, db)
-                emb = embed_union(inst.space, inst.partition,
-                                  inst.phi_a, inst.phi_b, params=params)
-                out.append((inst, da, db, emb))
-            self._distorted = out
-        return self._distorted
+        factors = [(da, db) for da in (1.5, 2.0, 3.0)
+                   for db in (1.5, 2.0, 3.0)]
+        out = []
+        for k in range(20):
+            rng = stream(self.seed, "acceptance.distorted", k)
+            base = union_instance(
+                int(rng.integers(10, 41)), int(rng.integers(10, 41)),
+                int(rng.integers(2, 9)), int(rng.integers(2, 9)),
+                seed=self.seed + 500 + k)
+            da, db = factors[k % len(factors)]
+            inst = distort_sides(base, da, db)
+            params = EmbedParams.derive(0.5, da, db)
+            emb = embed_union(inst.space, inst.partition,
+                              inst.phi_a, inst.phi_b, params=params)
+            out.append((inst, da, db, emb))
+        return out
 
+    @cached_property
     def splits(self):
         """sample_split outcome per n in {16, 64, 256}: split or error."""
-        if self._splits is None:
-            out = {}
-            for n in (16, 64, 256):
-                try:
-                    out[n] = sample_split(n, self.seed)
-                except RetryBudgetExceeded as exc:
-                    out[n] = exc
-            self._splits = out
-        return self._splits
+        out = {}
+        for n in (16, 64, 256):
+            try:
+                out[n] = sample_split(n, self.seed)
+            except RetryBudgetExceeded as exc:
+                out[n] = exc
+        return out
 
+    @cached_property
     def glue(self):
         """20 glue instances; the first is the order-reversing line map."""
-        if self._glue is None:
-            line = glue_instance(
-                np.array([[0.0], [1.0], [2.0]]),
-                np.array([[0.0], [2.0], [1.0]]),
-                np.array([0, 1, 2]), np.array([0, 1, 2]),
-                np.array([0, 1, 2]))
-            out = [line]
-            for k in range(19):
-                rng = stream(self.seed, "acceptance.glue", k)
-                out.append(sample_glue_instance(
-                    int(rng.integers(2, 9)), int(rng.integers(0, 13)),
-                    int(rng.integers(0, 13)), int(rng.integers(1, 5)),
-                    int(rng.integers(1, 5)), seed=self.seed + 900 + k,
-                    wobble=float(rng.uniform(0.0, 0.5))))
-            self._glue = out
-        return self._glue
+        line = glue_instance(
+            np.array([[0.0], [1.0], [2.0]]),
+            np.array([[0.0], [2.0], [1.0]]),
+            np.array([0, 1, 2]), np.array([0, 1, 2]),
+            np.array([0, 1, 2]))
+        out = [line]
+        for k in range(19):
+            rng = stream(self.seed, "acceptance.glue", k)
+            out.append(sample_glue_instance(
+                int(rng.integers(2, 9)), int(rng.integers(0, 13)),
+                int(rng.integers(0, 13)), int(rng.integers(1, 5)),
+                int(rng.integers(1, 5)), seed=self.seed + 900 + k,
+                wobble=float(rng.uniform(0.0, 0.5))))
+        return out
 
 
 def check_headline_bound(ctx):
     """50 seeded instances at alpha = 1/2: distortion <= 11 + 1e-6."""
-    runs = ctx.runs_half()
+    runs = ctx.runs_half
     worst_d = max(r.report.distortion for r in runs)
     worst_ratio = min(1.0 / r.report.contraction for r in runs)
     timed_ok = ctx.battery_seconds <= 60.0
@@ -167,7 +155,7 @@ def check_headline_bound(ctx):
 
 def check_iso_bound(ctx):
     """Same instances at alpha = 0.3114: distortion < 8.93."""
-    worst = max(r.report.distortion for r in ctx.runs_iso())
+    worst = max(r.report.distortion for r in ctx.runs_iso)
     return CheckResult("02 isometric-sharp-bound", worst < 8.93,
                        f"50 instances: max distortion {_fmt(worst)} vs 8.93")
 
@@ -177,7 +165,7 @@ def check_distorted_inputs(ctx):
     worst_slack = np.inf
     worst_txt = ""
     ok = True
-    for _, da, db, emb in ctx.distorted():
+    for _, da, db, emb in ctx.distorted:
         bound = 7.0 * da * db + 2.0 * (da + db) + 1e-6
         slack = bound - emb.report.distortion
         if slack < worst_slack:
@@ -191,8 +179,8 @@ def check_distorted_inputs(ctx):
 
 def check_psi_audit(ctx):
     """Per-pair map inequalities hold on every run; beta is exact."""
-    runs = (ctx.runs_half() + ctx.runs_iso()
-            + [emb for *_, emb in ctx.distorted()])
+    runs = (ctx.runs_half + ctx.runs_iso
+            + [emb for *_, emb in ctx.distorted])
     n_entries = 0
     ok = True
     worst = np.inf
@@ -205,7 +193,7 @@ def check_psi_audit(ctx):
                 n_entries += 1
                 rel = e.slack / max(abs(e.bound), 1.0)
                 worst = min(worst, rel)
-                ok = ok and e.ok(rel=1e-6)
+                ok = ok and e.ok()
     return CheckResult(
         "04 map-audit-items", ok,
         f"{n_entries} entries over {len(runs)} runs: "
@@ -217,8 +205,8 @@ def check_cover_properties(ctx):
     exhaustively and certifies, on every instance."""
     n_covers = 0
     worst = -np.inf
-    jobs = [(i, a) for i in ctx.battery() for a in (0.5, 0.3114)]
-    jobs += [(inst, 0.5) for inst, *_ in ctx.distorted()]
+    jobs = [(i, a) for i in ctx.battery for a in (0.5, 0.3114)]
+    jobs += [(inst, 0.5) for inst, *_ in ctx.distorted]
     for inst, alpha in jobs:
         for P in (inst.partition, inst.partition.swapped()):
             C = build_cover(inst.space, P, alpha)
@@ -308,7 +296,7 @@ def check_lower_bound(ctx):
     parts = []
     ok = True
     for n in (16, 64, 256):
-        got = ctx.splits()[n]
+        got = ctx.splits[n]
         if isinstance(got, MetricUnionError):
             ok = False
             parts.append(f"n={n}: FAIL ({type(got).__name__}: "
@@ -346,12 +334,12 @@ def check_lower_bound(ctx):
 def check_metric_validity(ctx):
     """Full cubic triangle recheck of the 1/2/3 and glued spaces."""
     checked = 0
-    split = ctx.splits()[64]
+    split = ctx.splits[64]
     if not isinstance(split, MetricUnionError):
         X, _ = build_123_metric(split)
         validate_metric(np.array(X.dist))
         checked += 1
-    for G in ctx.glue():
+    for G in ctx.glue:
         X, _ = glued_metric(G)
         if X.n <= 128:
             validate_metric(np.array(X.dist))
@@ -364,7 +352,7 @@ def check_glue_extension(ctx):
     """20 glue instances: exact compatibility, distortion <= 9 d_f + 2."""
     worst = -np.inf
     compat = True
-    for G in ctx.glue():
+    for G in ctx.glue:
         ext = external_extend(G)
         for k in range(G.n_pairs):
             compat = compat and np.array_equal(

@@ -32,7 +32,7 @@ from .lower_bound import (_ratio_window, build_123_metric,
                           certified_lower_bound, choose_n_for_epsilon,
                           ratio_check, sample_split)
 from .metric import distortion_of, validate_metric
-from .union_embed import EmbedParams, _normalize_side, embed_union
+from .union_embed import EmbedParams, _normalize_side, _side_lip, embed_union
 
 __all__ = ["main"]
 
@@ -47,11 +47,31 @@ class _UsageError(InputError):
     pass
 
 
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting, so usage errors map to 1."""
+    """argparse that raises instead of exiting, so usage errors map to 1,
+    and that reads a negative float literal after an option (-1e-3, -inf)
+    as its value: argparse takes only -1 and -0.5 as numbers and the rest
+    as option flags, while no option of this CLI looks like a number."""
 
     def error(self, message):
         raise _UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for k in range(len(args) - 1, 0, -1):
+            flag, value = args[k - 1], args[k]
+            if (flag.startswith("--") and "=" not in flag
+                    and value.startswith("-") and _is_number(value)):
+                args[k - 1:k + 1] = [f"{flag}={value}"]
+        return super().parse_known_args(args, namespace)
 
 
 def _seed(text):
@@ -138,9 +158,10 @@ def cmd_embed(args):
         # each side's Lipschitz constant as embed_union will measure it;
         # the measured copy goes on unless it was rescaled, since a
         # rescaled copy can be rescaled again by an ulp
-        side_a, d_a, scale_a = _normalize_side(X, P.idx_a, phi_a)
-        side_b, d_b, scale_b = _normalize_side(X, P.idx_b, phi_b)
-        params = EmbedParams.derive(_number(alpha, "alpha"), d_a, d_b,
+        side_a, rep_a, scale_a = _normalize_side(X, P.idx_a, phi_a)
+        side_b, rep_b, scale_b = _normalize_side(X, P.idx_b, phi_b)
+        params = EmbedParams.derive(_number(alpha, "alpha"),
+                                    _side_lip(rep_a), _side_lip(rep_b),
                                     args.tol)
         phi_a = side_a if scale_a == 1.0 else phi_a
         phi_b = side_b if scale_b == 1.0 else phi_b

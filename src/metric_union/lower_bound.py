@@ -120,6 +120,9 @@ def sample_split(n: int, seed: int) -> BipartiteSplit:
     """
     if n < 4:
         raise InputError(f"need n >= 4, got {n}")
+    if int(n) ** 2 > np.iinfo(np.intp).max // 8:   # numpy refuses the draw
+        raise InputError(f"n = {n} is too large: an n x n draw has more "
+                         "bytes than an array can hold")
     for attempt in range(_MAX_ATTEMPTS):
         rng = stream(seed, "lower_bound.split", attempt)
         try:

@@ -5,7 +5,7 @@ constants d_a, d_b), ``build_psi`` produces a map of the whole space into
 the B-side coordinate space: cover points of side A go to the phi_B image
 of their nearest B point, the rest of side A is placed by Lipschitz
 extension in coordinates, and side B keeps phi_B verbatim.  ``embed_union``
-runs this twice (once per side), appends one real coordinate
+runs this internal step twice (once per side), appends one real coordinate
 psi_Delta(x) = +/- gamma * R_x, and direct-sums the three parts into a
 non-contracting embedding with expansion at most 7*d_a*d_b + 2*(d_a + d_b)
 at alpha = 1/2, and below 8.93 for isometric sides at alpha = 0.3114.
@@ -17,9 +17,10 @@ AuditViolation carrying the full entry list.
 ``embed_union`` measures each side's image distances at most once (not
 at all when the side cloud carries them, as the MDS results and the glued
 sides do), and the normalized sides carry them on; a rescaled side
-carries scale**2 times them.  The side checks, the partial map's
-Lipschitz constant, the domination entries and psi's own matrix re-index
-them (psi measures only its placed rows).  Squared distances add exactly
+carries scale**2 times them.  One scan per side gives the report it is
+checked against params with; the partial map's Lipschitz constant, the
+domination entries and psi's own matrix re-index the carried matrices
+(psi measures only its placed rows).  Squared distances add exactly
 across summands, so ``full`` carries the sum of its summands' matrices
 (psi_Delta's single coordinate is measured) for ``distortion_of``,
 ``ratio_check`` and glue's f1 and f2 to reuse.  Every scan reads squared
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metric
-from .cover import CoverResult, build_cover, f_lip_bound
+from .cover import build_cover, f_lip_bound
 from .errors import AuditViolation, InputDistortionError, InputError
 from .kirszbraun import PartialMap, _check_tol, extend_sequential
 from .linalg import PointCloud, _carrying, _measured, direct_sum
@@ -47,8 +48,8 @@ from .metric import (DistortionReport, FiniteMetricSpace, UnionPartition,
 from .metric import distortion_of  # noqa: F401
 
 __all__ = [
-    "EmbedParams", "AuditEntry", "PsiResult", "UnionEmbedding",
-    "select_alpha", "headline_bound", "build_psi", "embed_union",
+    "EmbedParams", "AuditEntry", "UnionEmbedding", "select_alpha",
+    "headline_bound", "embed_union",
 ]
 
 _ISO_ALPHA = 0.3114
@@ -119,8 +120,8 @@ class AuditEntry:
         s = self.bound - self.measured
         return s if self.sense == "upper" else -s
 
-    def ok(self, rel=_AUDIT_REL):
-        return self.slack >= -rel * max(abs(self.bound), 1.0)
+    def ok(self):
+        return self.slack >= -_AUDIT_REL * max(abs(self.bound), 1.0)
 
     def as_dict(self):
         return {
@@ -132,17 +133,6 @@ class AuditEntry:
             "witness": list(self.witness) if self.witness else None,
             "ok": bool(self.ok()),
         }
-
-
-@dataclass(frozen=True)
-class PsiResult:
-    """One-sided map over all points, its cover, and its audit entries.
-    ``cloud`` carries its squared distances."""
-
-    cloud: PointCloud
-    cover: CoverResult
-    gmap: PartialMap
-    entries: list
 
 
 @dataclass(frozen=True)
@@ -179,10 +169,13 @@ def _as_cloud(obj):
     return obj if isinstance(obj, PointCloud) else PointCloud(np.asarray(obj))
 
 
-def _check_side(X, idx, sq, side, lip):
-    """Verify a side embedding, given its squared image distance matrix
-    ``sq``, is non-contracting with Lipschitz <= lip."""
-    rep = _distortion_report(X.dist[np.ix_(idx, idx)], sq, idx)
+def _side_lip(rep):
+    """A side's Lipschitz constant: its measured expansion, at least 1."""
+    return max(rep.expansion, 1.0)
+
+
+def _check_side(rep, side, lip):
+    """Verify a side's report: non-contracting, with Lipschitz <= lip."""
     if rep.contraction > 1.0 + _AUDIT_REL:
         raise InputDistortionError(side, rep.contraction, 1.0,
                                    witness=rep.contraction_pair)
@@ -193,10 +186,10 @@ def _check_side(X, idx, sq, side, lip):
 
 def _normalize_side(X, idx, cloud):
     """Rescale a slightly contracting side embedding to non-contracting
-    form and measure its Lipschitz constant.  Returns (cloud, lip, scale),
-    ``cloud`` a private copy, rescaled when needed, that carries its
-    squared distances: measured only when the caller's cloud (never
-    written) carries none, and scale**2 times them when rescaled.
+    form and measure it.  Returns (cloud, report, scale): ``cloud`` a
+    private copy, rescaled when needed, carrying its squared distances
+    (measured only when the caller's cloud, never written, carries none;
+    scale**2 times them when rescaled), and ``report`` its distortion.
     """
     if cloud.m != idx.size:
         raise InputError(f"{cloud.m} image rows for {idx.size} points")
@@ -208,7 +201,7 @@ def _normalize_side(X, idx, cloud):
         scale = rep.contraction
         side = side.scaled(scale)
         rep = _distortion_report(dx, side.sq_dist, idx)
-    return side, max(rep.expansion, 1.0), scale
+    return side, rep, scale
 
 
 def _same_side_pairs(idx):
@@ -250,16 +243,16 @@ def _raise_if_failing(entries):
 
 
 def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
-              params: EmbedParams, name: str = "psi") -> PsiResult:
-    """Map all points into the B-side coordinate space.
+              params: EmbedParams, name: str):
+    """Map all points into the B-side coordinate space: (cloud, entries).
+    ``embed_union``'s internal step, on sides it normalized and checked.
 
     Side B keeps phi_b verbatim; cover points of side A take the phi_b
     image of their nearest B point; remaining A points are placed by
     sequential Lipschitz extension of that partial map.  Overlap points
     are consistent by construction (their nearest point is themselves).
 
-    Each side is measured unless its cloud carries ``sq_dist``.  The
-    side checks and the partial map's Lipschitz constant re-index these
+    The partial map's Lipschitz constant re-indexes the sides' carried
     matrices.  psi's squared matrix has one rule: rows copied from phi_b
     (B, and cover points through ``nb``) re-index phi_b's matrix, and only
     placed rows are measured, as one block against all of psi.  The
@@ -274,15 +267,7 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
       {name}.cross_lower  (|psi(a)-psi(b)| - d + beta*R_a)/d >= 0
       {name}.g_lip        partial-map constant <= lf * d_b
     """
-    phi_a, phi_b = (_measured(_as_cloud(c)) for c in (phi_a, phi_b))
     ia, ib = P.idx_a, P.idx_b
-    if phi_a.m != ia.size:
-        raise InputError(f"phi_a has {phi_a.m} rows for {ia.size} A-points")
-    if phi_b.m != ib.size:
-        raise InputError(f"phi_b has {phi_b.m} rows for {ib.size} B-points")
-    _check_side(X, ia, phi_a.sq_dist, "A", params.d_a)
-    _check_side(X, ib, phi_b.sq_dist, "B", params.d_b)
-
     C = build_cover(X, P, params.alpha)
     row_a = {int(s): k for k, s in enumerate(ia)}
     row_b = {int(s): k for k, s in enumerate(ib)}
@@ -333,8 +318,7 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     audit.scalar(f"{name}.g_lip", "upper", gmap.lip, lf * params.d_b)
 
     _raise_if_failing(audit.entries)
-    return PsiResult(cloud=_carrying(PointCloud(psi), sq), cover=C,
-                     gmap=gmap, entries=audit.entries)
+    return _carrying(PointCloud(psi), sq), audit.entries
 
 
 def headline_bound(params: EmbedParams) -> float:
@@ -458,22 +442,23 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     measured rather than trusted.  When ``params`` is None, alpha comes
     from select_alpha and the remaining constants, ``tol`` among them,
     from EmbedParams.derive; otherwise ``tol`` is unused and params.tol
-    applies.
+    applies.  Each side is checked once, against params.d_a or params.d_b.
     Each side's image distances are measured at most once, and the
     returned ``full`` carries its squared distances, the sum of its
     summands'; the returned psi clouds carry none.  The caller's clouds
     are never written.
     """
-    phi_a, phi_b = _as_cloud(phi_a), _as_cloud(phi_b)
-    phi_a, d_a, scale_a = _normalize_side(X, P.idx_a, phi_a)
-    phi_b, d_b, scale_b = _normalize_side(X, P.idx_b, phi_b)
+    phi_a, rep_a, scale_a = _normalize_side(X, P.idx_a, _as_cloud(phi_a))
+    phi_b, rep_b, scale_b = _normalize_side(X, P.idx_b, _as_cloud(phi_b))
     if params is None:
+        d_a, d_b = _side_lip(rep_a), _side_lip(rep_b)
         params = EmbedParams.derive(select_alpha(d_a, d_b), d_a, d_b, tol)
+    _check_side(rep_a, "A", params.d_a)
+    _check_side(rep_b, "B", params.d_b)
 
-    # each build_psi checks both sides against params before building
-    res_b = build_psi(X, P, phi_a, phi_b, params, name="psi_b")
-    res_a = build_psi(X, P.swapped(), phi_b, phi_a, params.swapped(),
-                      name="psi_a")
+    psi_b, entries_b = build_psi(X, P, phi_a, phi_b, params, name="psi_b")
+    psi_a, entries_a = build_psi(X, P.swapped(), phi_b, phi_a,
+                                 params.swapped(), name="psi_a")
 
     delta = np.zeros((X.n, 1))
     delta[P.idx_a, 0] = params.gamma * P.r_a
@@ -481,12 +466,11 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     delta += 0.0   # normalize -0.0 on overlap points
     psi_delta = _measured(PointCloud(delta))
 
-    full = direct_sum([res_a.cloud, res_b.cloud, psi_delta])
+    full = direct_sum([psi_a, psi_b, psi_delta])
     # only full keeps an n x n matrix: the summands' are dropped here
     psi_a, psi_b, psi_delta = (_carrying(c, None) for c in
-                               (res_a.cloud, res_b.cloud, psi_delta))
-    audit = res_a.entries + res_b.entries
-    del res_a, res_b
+                               (psi_a, psi_b, psi_delta))
+    audit = entries_a + entries_b
     report = _distortion_report(X.dist, full.sq_dist, np.arange(X.n))
     audit += _full_audit(X, P, params, full, report, phi_a, phi_b,
                          psi_delta)

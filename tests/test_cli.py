@@ -15,7 +15,7 @@ from metric_union import (EmbedParams, PointCloud, canonical_dumps,
                           load_json, parse_glue, sample_glue_instance,
                           to_jsonable, union_instance)
 from metric_union.cli import main
-from metric_union.union_embed import _normalize_side
+from metric_union.union_embed import _normalize_side, _side_lip
 
 
 def _write(tmp_path, name, obj):
@@ -27,6 +27,15 @@ def _write(tmp_path, name, obj):
 def _stderr_payload(capsys):
     err = capsys.readouterr().err
     return json.loads(err.splitlines()[0])
+
+
+def _refused_as_input_error(capsys):
+    """Nothing on stdout; one JSON error line naming InputError, then the
+    runtime line."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 2
+    assert json.loads(captured.err.splitlines()[0])["error"] == "InputError"
 
 
 @pytest.fixture()
@@ -147,8 +156,8 @@ def test_embed_alpha_measures_each_side_once(tmp_path, capsys,
         else:
             assert len(kernel_calls) <= 9
         phi_a, phi_b = PointCloud(phi_a), PointCloud(inst.phi_b.points)
-        d_a = _normalize_side(X, P.idx_a, phi_a)[1]
-        d_b = _normalize_side(X, P.idx_b, phi_b)[1]
+        d_a = _side_lip(_normalize_side(X, P.idx_a, phi_a)[1])
+        d_b = _side_lip(_normalize_side(X, P.idx_b, phi_b)[1])
         full = embed_union(X, P, phi_a, phi_b, params=EmbedParams.derive(
             0.5, d_a, d_b, 1e-7)).as_dict()
         assert out == canonical_dumps({
@@ -336,7 +345,7 @@ def test_usage_errors(tmp_path, capsys):
                  str(tmp_path / "missing.json")]) == 1
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3", "-inf"])
 def test_malformed_tol_is_an_input_error(tmp_path, capsys, embed_input, tol):
     # a NaN tol reached the audit and failed there, exit 2
     glue_path = _write(tmp_path, "glue.json", {
@@ -344,15 +353,33 @@ def test_malformed_tol_is_an_input_error(tmp_path, capsys, embed_input, tol):
         "v_points": {"points": [[0.0], [2.0], [1.0]]},
         "a_idx": [0, 1, 2], "b_idx": [0, 1, 2], "pairing": [0, 1, 2],
     })
+    # a negative one in exponent form, written apart from its flag, was
+    # read as an option and refused as a usage error
     for argv in (["embed", "--input", embed_input[0]],
                  ["embed", "--input", embed_input[0], "--alpha", "0.5"],
                  ["glue", "--input", glue_path]):
-        assert main([*argv, f"--tol={tol}"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 2
-        assert json.loads(captured.err.splitlines()[0])["error"] == \
-            "InputError"
+        for flag in ([f"--tol={tol}"], ["--tol", tol]):
+            assert main([*argv, *flag]) == 1
+            _refused_as_input_error(capsys)
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+def test_negative_exponent_values_reach_their_checks(capsys, embed_input,
+                                                     value):
+    path = embed_input[0]
+    for argv in (["embed", "--input", path, "--alpha", value],
+                 ["cover", "--input", path, "--alpha", value],
+                 ["lowerbound", "--epsilon", value]):
+        assert main(argv) == 1
+        _refused_as_input_error(capsys)
+
+
+def test_lowerbound_n_beyond_any_array_is_an_input_error(capsys):
+    # numpy refuses an n x n draw of this size before allocating anything;
+    # the refusal escaped as an unnamed ValueError traceback
+    for n in ("99999999999", str(2 ** 31)):
+        assert main(["lowerbound", "--n", n]) == 1
+        _refused_as_input_error(capsys)
 
 
 def test_number_beyond_float_range_is_an_input_error(tmp_path, capsys,
@@ -366,11 +393,7 @@ def test_number_beyond_float_range_is_an_input_error(tmp_path, capsys,
     for argv in (["check-metric", "--input", huge],
                  ["embed", "--input", phi]):
         assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 2
-        assert json.loads(captured.err.splitlines()[0])["error"] == \
-            "InputError"
+        _refused_as_input_error(capsys)
 
 
 def test_glue_bad_pairing_maps_to_input_error(tmp_path, capsys):

@@ -215,7 +215,7 @@ def test_sequential_extension_never_reaches_the_optimizer(monkeypatch):
     np.testing.assert_array_equal(out[3], out[2])
     assert len(levels) == 11 and not solves
     params = EmbedParams.derive(0.5, 1.0, 1.0)
-    for inst in _Context(0).battery():
+    for inst in _Context(0).battery:
         embed_union(inst.space, inst.partition, inst.phi_a, inst.phi_b,
                     params=params)
     assert 0.0 in levels[11:] and len(levels) > 2000
@@ -341,7 +341,7 @@ def test_fixed_level_placement_solves_for_no_weights(monkeypatch,
     monkeypatch.setattr(kirszbraun, "_level_image",
                         lambda *a: levels.append(a[2]) or level(*a))
     params = EmbedParams.derive(0.5, 1.0, 1.0)
-    for inst in _Context(0).battery():
+    for inst in _Context(0).battery:
         embed_union(inst.space, inst.partition, inst.phi_a, inst.phi_b,
                     params=params)
     assert len(levels) > 2000 and not solve_calls
