@@ -7,6 +7,7 @@ cover the space, and precomputes R_a = d(a, B) and R_b = d(b, A), the
 distances from each point of one side to the other side.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,8 @@ __all__ = [
 ]
 
 _MAX_RECORDED = 10_000  # cap on stored violations for pathological inputs
-_BLOCK = 1 << 20        # float64 elements in one row block's difference tensor
+_BLOCK = 1 << 20        # float64 elements in one _min_plus sum block
+_TILE = 1 << 15         # float64 elements in one kernel tile (256 KB)
 # least rows per block of validate_metric's triangle screen: each block
 # costs one pass over k, so n < 256 takes one block; larger ones lose the
 # cache
@@ -263,20 +265,29 @@ def _squared_distances(p, q=None):
     The one distance kernel; see ``pairwise_distances``.  Both inputs are
     made C-contiguous first: the difference tensor takes its layout from
     theirs, and with it the order in which ``einsum`` sums each entry.
+    Tiles take isqrt(_TILE // dim) columns (all of q when fewer) and as
+    many rows as fill ``_TILE`` float64 differences, or one row by one
+    column when that is more, so each difference tensor stays in cache.
+    A self call (``q`` None) takes square tiles, measures each band of
+    rows from its diagonal tile rightwards and mirrors the band into the
+    lower triangle: entry (j, i) is bit for bit entry (i, j), since
+    (a - b)**2 == (b - a)**2 and every entry is summed in the same order.
     """
     p = np.ascontiguousarray(getattr(p, "points", p), dtype=np.float64)
-    q = p if q is None else np.ascontiguousarray(getattr(q, "points", q),
+    self_call = q is None
+    q = p if self_call else np.ascontiguousarray(getattr(q, "points", q),
                                                  dtype=np.float64)
-    rows = max(1, _BLOCK // max(q.size, 1))
-    out = None
-    for lo in range(0, max(p.shape[0], 1), rows):   # once even if p is empty
-        diff = p[lo:lo + rows, None, :] - q[None, :, :]
-        if out is None:
-            # allocated after the first temporary: with the result below
-            # it, the heap fragmented over repeated calls and the glue
-            # benchmark's peak RSS grew by up to 18%
-            out = np.empty((p.shape[0], q.shape[0]))
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[lo:lo + rows])
+    (n, dim), m = p.shape, q.shape[0]
+    out = np.empty((n, m))   # allocated even when no tile runs
+    cols = min(max(1, math.isqrt(_TILE // max(dim, 1))), max(m, 1))
+    rows = cols if self_call else max(1, _TILE // (cols * max(dim, 1)))
+    for lo in range(0, n, rows):
+        hi = lo + rows
+        for c in range(lo if self_call else 0, m, cols):
+            diff = p[lo:hi, None, :] - q[None, c:c + cols, :]
+            np.einsum("ijk,ijk->ij", diff, diff, out=out[lo:hi, c:c + cols])
+        if self_call and hi < n:
+            out[hi:, lo:hi] = out[lo:hi, hi:].T
     return out
 
 
@@ -329,13 +340,17 @@ def _upper_screen(D, slack_abs):
 def pairwise_distances(p, q=None) -> np.ndarray:
     """Euclidean distances between the rows of ``p`` and ``q`` (default p).
 
-    Either argument is a point cloud or a bare (m, dim) array.  Rows of
-    ``p`` are taken in blocks whose difference tensor holds at most 2**20
-    float64 elements (8 MB), or a single row when one row is larger, so
-    memory beyond the (len(p), len(q)) result does not grow with len(p).
-    Each entry is reduced by the same expression in every block, so the
-    result does not depend on the blocking, and ``pairwise_distances(p)``
-    is exactly symmetric with a zero diagonal.
+    Either argument is a point cloud or a bare (m, dim) array.  Rows and
+    columns are taken in tiles whose difference tensor holds at most 2**15
+    float64 elements (256 KB), or one row by one column when that is
+    larger, so memory beyond the (len(p), len(q)) result does not grow
+    with the inputs.  ``pairwise_distances(p)`` measures the upper
+    triangle's tiles only and mirrors them, so it is exactly symmetric
+    with a zero diagonal.  Each entry is reduced by the same expression in
+    every tile, so the result does not depend on the tiling, and no BLAS
+    routine is called.  (Beyond 8192 coordinates numpy sums a one-by-one
+    tile's lone pair in 8192-element chunks, so there an entry may differ
+    in its last bits from the same pair measured in a larger tile.)
 
     The result depends only on the values of the inputs, not on their
     memory layout (C- or Fortran-ordered, strided views).  An entry

@@ -32,7 +32,9 @@ class KernelCall:
 
     @property
     def work(self):
-        """Squared differences the call sums: rows * cols * dim."""
+        """Squared differences of all rows * cols pairs: rows * cols * dim.
+        An upper bound on what the call sums, since a self call sums only
+        its upper triangle's tiles, about half of it."""
         return self.rows * self.cols * self.dim
 
 

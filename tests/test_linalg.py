@@ -1,6 +1,9 @@
 """Point clouds, checked eigensystems, MDS realizations, and the distance
 kernel."""
 
+import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +17,8 @@ from metric_union import (ConvergenceError, InputError, LengthMismatchError,
                           pairwise_distances, stream, sym_eigen,
                           validate_metric)
 from metric_union.linalg import _measured
-from metric_union.metric import _BLOCK, _min_plus
+from metric_union.metric import (_BLOCK, _TILE, _min_plus,
+                                 _squared_distances)
 
 
 def test_point_cloud_is_immutable_copy():
@@ -141,16 +145,25 @@ def test_convergence_error_is_exported():
 
 
 def _one_shot(p, q):
+    p, q = np.ascontiguousarray(p), np.ascontiguousarray(q)
     diff = p[:, None, :] - q[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def _tiles(p, q=None):
+    """(row tiles, column tiles) that the kernel takes for p against q."""
+    m, dim = (p if q is None else q).shape
+    cols = min(max(1, math.isqrt(_TILE // max(dim, 1))), max(m, 1))
+    rows = cols if q is None else max(1, _TILE // (cols * max(dim, 1)))
+    return -(-p.shape[0] // rows), -(-m // cols)
 
 
 def test_pairwise_distances_independent_of_row_blocks():
     rng = stream(0, "test.pairwise_blocks")
     sq = rng.normal(size=(200, 100))
     p, q = rng.normal(size=(300, 120)), rng.normal(size=(90, 120))
-    for a, b in ((sq, sq), (p, q)):
-        assert a.shape[0] >= 3 * (_BLOCK // b.size)   # three or more blocks
+    for a, b in ((sq, None), (p, q)):
+        assert min(_tiles(a, b)) >= 3   # three or more tiles each way
     D = pairwise_distances(sq)
     assert np.array_equal(D, _one_shot(sq, sq))
     assert np.array_equal(D, D.T)
@@ -189,15 +202,94 @@ def test_pairwise_distances_of_rows_reindex_the_full_matrix():
                               D[np.ix_(i, i)])
 
 
+def test_pairwise_distances_across_tiles():
+    # every shape spans three or more row and column tiles, most with a
+    # ragged last tile; 8000 coordinates take two-by-two tiles, and the
+    # cross pair's corner tile is one row by one column
+    rng = stream(0, "test.pairwise_tiles")
+
+    def draw(m, dim):   # rows with magnitudes from 1e-3 to 1e3
+        return rng.normal(size=(m, dim)) * 10.0 ** rng.uniform(
+            -3.0, 3.0, size=(m, 1))
+
+    big = draw(260, 120)
+    selfs = [draw(100, 37), draw(61, 267), draw(600, 1), draw(30, 1500),
+             draw(9, 8000), np.asfortranarray(draw(70, 40)),
+             big[::2, 1::3], big[::-2, ::2]]
+    crosses = [(draw(70, 37), draw(100, 37)), (draw(200, 267), draw(40, 267)),
+               (draw(5, 8000), draw(7, 8000)),
+               (np.asfortranarray(draw(90, 20)), big[1::2, ::6]),
+               (big[::3, ::-4], np.asfortranarray(draw(150, 30)))]
+    for p in selfs:
+        assert min(_tiles(p)) >= 3
+        D = pairwise_distances(p)
+        assert np.array_equal(D, _one_shot(p, p))
+        assert np.array_equal(D, D.T)
+        assert not np.diagonal(D).any()
+    for p, q in crosses:
+        assert min(_tiles(p, q)) >= 3
+        R = pairwise_distances(p, q)
+        assert R.shape == (p.shape[0], q.shape[0])
+        assert np.array_equal(R, _one_shot(p, q))
+
+
+@pytest.mark.parametrize("p_shape,q_shape", [
+    ((0, 3), None), ((0, 3), (4, 3)), ((4, 3), (0, 3)), ((0, 0), None),
+    ((5, 0), None), ((5, 0), (3, 0)), ((1, 4), None), ((1, 4), (1, 4)),
+    ((1, 4), (6, 4)), ((6, 4), (1, 4)),
+])
+def test_pairwise_distances_of_degenerate_shapes(p_shape, q_shape):
+    # one row against itself, or no coordinates, measures zeros; no rows
+    # on either side leaves no tile to run, and the result still exists
+    p = np.ones(p_shape)
+    q = None if q_shape is None else np.ones(q_shape)
+    shape = (p_shape[0], (p_shape if q is None else q_shape)[0])
+    for out in (_squared_distances(p, q), pairwise_distances(p, q)):
+        assert isinstance(out, np.ndarray)
+        assert out.shape == shape
+        assert not out.any()
+
+
 def test_pairwise_distances_memory_is_bounded():
-    pts = stream(1, "test.pairwise_memory").normal(size=(300, 300))
-    tracemalloc.start()
-    try:
-        pairwise_distances(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20   # a one-shot difference tensor is 216 MB
+    # (512, 267): the spectral leg's best-effort cloud at n = 256
+    rng = stream(1, "test.pairwise_memory")
+    for shape in ((300, 300), (512, 267)):
+        pts = rng.normal(size=shape)
+        tracemalloc.start()
+        try:
+            pairwise_distances(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result, tile = shape[0] ** 2 * 8, _TILE * 8
+        # the result and one tile, with room for the next tile's
+        # difference and numpy's own temporaries; a one-shot difference
+        # tensor is 216 or 560 MB
+        assert peak < 2 * (result + tile)
+
+
+_BLAS_PROBE = """
+import hashlib
+from metric_union import pairwise_distances, stream
+rng = stream(0, "test.pairwise_blas")
+p, q = rng.normal(size=(512, 267)), rng.normal(size=(40, 267))
+print(hashlib.sha256(pairwise_distances(p).tobytes()
+                     + pairwise_distances(p, q).tobytes()).hexdigest())
+"""
+
+
+def test_pairwise_distances_independent_of_blas_threads(src_env):
+    # the kernel sums each entry itself; a BLAS Gram form would make its
+    # bits depend on the thread count
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE], capture_output=True,
+            text=True, check=True,
+            env=dict(src_env, OPENBLAS_NUM_THREADS=threads))
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def _one_shot_min_plus(a, b):
