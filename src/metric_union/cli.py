@@ -5,6 +5,7 @@ Reports go to --output when given, else stdout; timing goes to stderr so
 stdout stays byte-deterministic (floats are formatted with 17 significant
 digits and keys are sorted).  Only lowerbound and selftest draw random
 numbers, and they take --seed; the other commands are deterministic.
+embed hands --alpha on to ``embed_union``, which measures each side's d.
 
 Exit codes: 0 success, 1 malformed input, 2 a certified property failed
 during the run (for audit failures the report is still written), 3 the
@@ -32,7 +33,7 @@ from .lower_bound import (_ratio_window, build_123_metric,
                           certified_lower_bound, choose_n_for_epsilon,
                           ratio_check, sample_split)
 from .metric import distortion_of, validate_metric
-from .union_embed import EmbedParams, _normalize_side, _side_lip, embed_union
+from .union_embed import embed_union
 
 __all__ = ["main"]
 
@@ -152,21 +153,8 @@ def cmd_embed(args):
     phi_b = parse_cloud(obj["phi_b"], "phi_b") if "phi_b" in obj \
         else mds_isometric_embed(_side_space(X, P.idx_b))
     alpha = args.alpha if args.alpha is not None else obj.get("alpha")
-
-    params = None
-    if alpha is not None:
-        # each side's Lipschitz constant as embed_union will measure it;
-        # the measured copy goes on unless it was rescaled, since a
-        # rescaled copy can be rescaled again by an ulp
-        side_a, rep_a, scale_a = _normalize_side(X, P.idx_a, phi_a)
-        side_b, rep_b, scale_b = _normalize_side(X, P.idx_b, phi_b)
-        params = EmbedParams.derive(_number(alpha, "alpha"),
-                                    _side_lip(rep_a), _side_lip(rep_b),
-                                    args.tol)
-        phi_a = side_a if scale_a == 1.0 else phi_a
-        phi_b = side_b if scale_b == 1.0 else phi_b
-
-    emb = embed_union(X, P, phi_a, phi_b, params=params, tol=args.tol)
+    emb = embed_union(X, P, phi_a, phi_b, tol=args.tol,
+                      alpha=None if alpha is None else _number(alpha, "alpha"))
     full = emb.as_dict()
     return {
         "embedding": {"dim": full["dim"], "points": full["points"]},

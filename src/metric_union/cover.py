@@ -49,6 +49,9 @@ def build_cover(X: FiniteMetricSpace, P: UnionPartition,
     """Greedy alpha-cover of P.idx_a with respect to P.idx_b."""
     if not (0.0 < alpha <= 1.0):
         raise InputError(f"alpha must lie in (0, 1], got {alpha!r}")
+    if not np.isfinite(f_lip_bound(alpha)):
+        raise InputError(f"alpha {alpha!r} is too small: its Lipschitz "
+                         f"bound 2(1 + 1/alpha) overflows")
     ia = P.idx_a
     R = P.r_a
     DA = X.dist[np.ix_(ia, ia)]

@@ -85,14 +85,21 @@ class EmbedParams:
     def derive(alpha, d_a, d_b, tol=1e-7):
         if not (0.0 < alpha <= 1.0):
             raise InputError(f"alpha must lie in (0, 1], got {alpha!r}")
-        if d_a < 1.0 or d_b < 1.0:
+        if not (d_a >= 1.0 and d_b >= 1.0):   # also nan
             raise InputError(
                 f"side constants must be >= 1, got {d_a!r}, {d_b!r}")
         _check_tol(tol)
         beta = (1.0 + alpha) * (2.0 * d_a * d_b + 1.0)
-        return EmbedParams(alpha=float(alpha), d_a=float(d_a),
-                           d_b=float(d_b), beta=beta,
-                           gamma=math.sqrt(0.5) * beta, tol=float(tol))
+        params = EmbedParams(alpha=float(alpha), d_a=float(d_a),
+                             d_b=float(d_b), beta=beta,
+                             gamma=math.sqrt(0.5) * beta, tol=float(tol))
+        try:   # a float power raises where a product would give inf
+            if math.isfinite(max(_sq_bounds(params))):   # sums of gamma**2
+                return params
+        except OverflowError:
+            pass
+        raise InputError(f"the construction's constants overflow at "
+                         f"alpha={alpha!r}, d_a={d_a!r}, d_b={d_b!r}")
 
     def swapped(self):
         """Same constants with the roles of the two sides exchanged."""
@@ -169,11 +176,6 @@ def _as_cloud(obj):
     return obj if isinstance(obj, PointCloud) else PointCloud(np.asarray(obj))
 
 
-def _side_lip(rep):
-    """A side's Lipschitz constant: its measured expansion, at least 1."""
-    return max(rep.expansion, 1.0)
-
-
 def _check_side(rep, side, lip):
     """Verify a side's report: non-contracting, with Lipschitz <= lip."""
     if rep.contraction > 1.0 + _AUDIT_REL:
@@ -189,7 +191,8 @@ def _normalize_side(X, idx, cloud):
     form and measure it.  Returns (cloud, report, scale): ``cloud`` a
     private copy, rescaled when needed, carrying its squared distances
     (measured only when the caller's cloud, never written, carries none;
-    scale**2 times them when rescaled), and ``report`` its distortion.
+    scale**2 times them when rescaled), and ``report`` its distortion,
+    which ``embed_union`` reads d from and checks the side against.
     """
     if cloud.m != idx.size:
         raise InputError(f"{cloud.m} image rows for {idx.size} points")
@@ -434,25 +437,30 @@ def _full_audit(X, P, params, full, report, phi_a, phi_b, psi_delta):
 
 def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
                 params: EmbedParams | None = None,
-                tol: float = 1e-7) -> UnionEmbedding:
+                tol: float = 1e-7,
+                alpha: float | None = None) -> UnionEmbedding:
     """Non-contracting embedding of the whole space, fully audited.
 
     Side inputs are rescaled to non-contracting form if they contract
     slightly (the factor is recorded), and their Lipschitz constants are
-    measured rather than trusted.  When ``params`` is None, alpha comes
-    from select_alpha and the remaining constants, ``tol`` among them,
-    from EmbedParams.derive; otherwise ``tol`` is unused and params.tol
-    applies.  Each side is checked once, against params.d_a or params.d_b.
+    measured rather than trusted.  ``params`` claims d_a and d_b (and
+    ``tol`` is unused); without it each is measured, the side's expansion
+    but at least 1, and EmbedParams.derive gives the rest at ``alpha``
+    (select_alpha's choice when None) and ``tol``.  Give at most one of
+    the two.  Each side is checked once, against params.d_a or params.d_b.
     Each side's image distances are measured at most once, and the
     returned ``full`` carries its squared distances, the sum of its
     summands'; the returned psi clouds carry none.  The caller's clouds
     are never written.
     """
+    if alpha is not None and params is not None:
+        raise InputError("give alpha or params, not both")
     phi_a, rep_a, scale_a = _normalize_side(X, P.idx_a, _as_cloud(phi_a))
     phi_b, rep_b, scale_b = _normalize_side(X, P.idx_b, _as_cloud(phi_b))
     if params is None:
-        d_a, d_b = _side_lip(rep_a), _side_lip(rep_b)
-        params = EmbedParams.derive(select_alpha(d_a, d_b), d_a, d_b, tol)
+        d_a, d_b = max(rep_a.expansion, 1.0), max(rep_b.expansion, 1.0)
+        alpha = select_alpha(d_a, d_b) if alpha is None else alpha
+        params = EmbedParams.derive(alpha, d_a, d_b, tol)
     _check_side(rep_a, "A", params.d_a)
     _check_side(rep_b, "B", params.d_b)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import metric_union
-from metric_union import metric
+from metric_union import metric, union_embed
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +54,18 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(metric, "_squared_distances", counted)
     return calls
+
+
+@pytest.fixture()
+def report_scans(monkeypatch):
+    """The arguments of every all-pairs distortion scan
+    (``union_embed._distortion_report``) made while the test runs."""
+    scans = []
+    report = union_embed._distortion_report
+
+    def counted(*args):
+        scans.append(args)
+        return report(*args)
+
+    monkeypatch.setattr(union_embed, "_distortion_report", counted)
+    return scans

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, JSON reports, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -10,12 +11,10 @@ import pytest
 import metric_union.cli as cli
 import metric_union.glue as glue
 import metric_union.lower_bound as lower_bound
-from metric_union import (EmbedParams, PointCloud, canonical_dumps,
-                          embed_union, external_extend, glued_metric,
-                          load_json, parse_glue, sample_glue_instance,
-                          to_jsonable, union_instance)
+from metric_union import (canonical_dumps, embed_union, external_extend,
+                          glued_metric, load_json, parse_glue,
+                          sample_glue_instance, to_jsonable, union_instance)
 from metric_union.cli import main
-from metric_union.union_embed import _normalize_side, _side_lip
 
 
 def _write(tmp_path, name, obj):
@@ -131,17 +130,16 @@ def test_embed_alpha_flag(tmp_path, capsys, embed_input):
 
 
 def test_embed_alpha_measures_each_side_once(tmp_path, capsys,
-                                             kernel_calls):
-    # --alpha measures each side for its Lipschitz constant and hands the
-    # measured copy on: 9 kernel calls, as without --alpha (11 when
-    # embed_union measured each side again).  A rescaled side goes on as
-    # the caller's cloud, so the report is what embed_union gives on the
-    # caller's clouds.
+                                             kernel_calls, report_scans):
+    # --alpha goes to embed_union, which reads each side's constant from
+    # the one scan it checks the side with: 3 scans and 9 kernel calls, as
+    # without --alpha (5 scans when the CLI measured both sides first), 4
+    # scans when one side is rescaled
     inst = union_instance(30, 25, 3, 4, seed=1)
     X, P = inst.space, inst.partition
-    for name, phi_a in (("plain", inst.phi_a.points),
-                        ("scaled", 2.0 * inst.phi_a.points),
-                        ("contracting", 0.98 * inst.phi_a.points)):
+    for name, phi_a, scans in (("plain", inst.phi_a.points, 3),
+                               ("scaled", 2.0 * inst.phi_a.points, 3),
+                               ("contracting", 0.98 * inst.phi_a.points, 4)):
         path = _write(tmp_path, f"{name}.json", {
             "space": {"dist": X.dist},
             "partition": {"a": P.idx_a, "b": P.idx_b},
@@ -149,17 +147,16 @@ def test_embed_alpha_measures_each_side_once(tmp_path, capsys,
             "phi_b": {"points": inst.phi_b.points},
         })
         kernel_calls.clear()
+        report_scans.clear()
         assert main(["embed", "--input", path, "--alpha", "0.5"]) == 0
         out = capsys.readouterr().out
+        assert len(report_scans) == scans
         if name == "contracting":
             assert json.loads(out)["scale_a"] > 1.0
         else:
             assert len(kernel_calls) <= 9
-        phi_a, phi_b = PointCloud(phi_a), PointCloud(inst.phi_b.points)
-        d_a = _side_lip(_normalize_side(X, P.idx_a, phi_a)[1])
-        d_b = _side_lip(_normalize_side(X, P.idx_b, phi_b)[1])
-        full = embed_union(X, P, phi_a, phi_b, params=EmbedParams.derive(
-            0.5, d_a, d_b, 1e-7)).as_dict()
+        full = embed_union(X, P, phi_a, inst.phi_b.points,
+                           alpha=0.5).as_dict()
         assert out == canonical_dumps({
             "embedding": {"dim": full["dim"], "points": full["points"]},
             **{k: full[k] for k in ("report", "audit", "params",
@@ -374,6 +371,21 @@ def test_negative_exponent_values_reach_their_checks(capsys, embed_input,
         _refused_as_input_error(capsys)
 
 
+@pytest.mark.parametrize("value", ["1e-160", "1e-200", "1e-300", "1e-320"])
+def test_alpha_whose_constants_overflow_is_an_input_error(capsys, embed_input,
+                                                          value):
+    # embed died with a bare OverflowError traceback, or at 1e-320 exited 2
+    # on full.headline_consistent (inf against inf); cover at 1e-320 failed
+    # only when writing its infinite lip_bound
+    path = embed_input[0]
+    argvs = [["embed", "--input", path, "--alpha", value]]
+    if value == "1e-320":
+        argvs.append(["cover", "--input", path, "--alpha", value])
+    for argv in argvs:
+        assert main(argv) == 1
+        _refused_as_input_error(capsys)
+
+
 def test_lowerbound_n_beyond_any_array_is_an_input_error(capsys):
     # numpy refuses an n x n draw of this size before allocating anything;
     # the refusal escaped as an unnamed ValueError traceback
@@ -453,15 +465,30 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, embed_input):
 
 
 def _overflowing_input(tmp_path):
-    """An embed input whose distances of 1e200 overflow the audit's
-    squared ratios: its AuditViolation holds measured = bound = inf."""
-    big = 1e200
+    """An embed input whose sides measure finite constants but whose cross
+    distances of 1e154 overflow the full image's squared distances: its
+    AuditViolation holds measured = inf against a finite bound."""
+    big = 1e154
     return _write(tmp_path, "huge.json", {
+        "space": {"dist": [[0, 1, big], [1, 0, big - 1], [big, big - 1, 0]]},
+        "partition": {"a": [0, 1], "b": [2]},
+        "phi_a": {"points": [[0.0], [1.0]]},
+        "phi_b": {"points": [[big]]},
+    })
+
+
+def test_side_whose_constant_overflows_is_an_input_error(tmp_path, capsys):
+    # side A's squared distance of 1e400 makes its expansion, and so d_a,
+    # inf: it failed the audit as inf against inf, exit 2
+    big = 1e200
+    path = _write(tmp_path, "huge_side.json", {
         "space": {"dist": [[0, big, big], [big, 0, big], [big, big, 0]]},
         "partition": {"a": [0, 1], "b": [2]},
         "phi_a": {"points": [[0.0], [big]]},
         "phi_b": {"points": [[0.0]]},
     })
+    assert main(["embed", "--input", path]) == 1
+    _refused_as_input_error(capsys)
 
 
 def test_unwritable_output_keeps_the_audit_failure(tmp_path, capsys):
@@ -484,10 +511,11 @@ def test_non_finite_audit_values_end_in_one_error_line(tmp_path, capsys):
     payload = json.loads(err[0])
     assert payload["error"] == "AuditViolation"
     assert payload["witness"]["measured"] == "inf"
-    assert payload["witness"]["bound"] == "inf"
+    assert math.isfinite(payload["witness"]["bound"])
     dumped = json.loads(out_file.read_text())
     assert dumped["error"] == payload
-    assert {e["slack"] for e in dumped["audit"] if not e["ok"]} == {"nan"}
+    assert {e["slack"] for e in dumped["audit"] if not e["ok"]} \
+        == {"-inf", "nan"}
 
 
 def test_memory_error_fails_by_name(tmp_path, capsys, monkeypatch):

@@ -9,13 +9,15 @@ import pytest
 from metric_union import (AuditViolation, EmbedParams, InputDistortionError,
                           InputError, MetricUnionError, PartialMap,
                           PointCloud, SolverStall, build_123_metric,
-                          build_cover, build_partition, distort_sides,
-                          distortion_of, embed_union, external_extend,
-                          headline_bound, mds_best_effort, mds_isometric_embed,
-                          pairwise_distances, ratio_check,
-                          sample_glue_instance, sample_split, select_alpha,
-                          stream, union_instance, validate_metric)
+                          build_cover, build_partition, canonical_dumps,
+                          distort_sides, distortion_of, embed_union,
+                          external_extend, headline_bound, mds_best_effort,
+                          mds_isometric_embed, pairwise_distances,
+                          ratio_check, sample_glue_instance, sample_split,
+                          select_alpha, stream, union_instance,
+                          validate_metric)
 from metric_union import metric, union_embed
+from metric_union.acceptance import _Context
 from metric_union.linalg import _measured
 from metric_union.union_embed import _normalize_side, build_psi
 
@@ -48,6 +50,23 @@ def test_params_derive_formulas():
         EmbedParams.derive(1.5, 1.0, 1.0)
     with pytest.raises(InputError):
         EmbedParams.derive(0.5, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("alpha, d_a, d_b", [
+    (1e-160, 1.0, 1.0), (1e-200, 1.0, 1.0), (1e-300, 1.0, 1.0),
+    (1e-320, 1.0, 1.0), (0.4, 1e200, 1.0), (0.5, 1.0, 1e200),
+    (0.5, math.nan, 1.0), (0.5, 1.0, math.inf), (math.nan, 1.0, 1.0)])
+def test_params_derive_refuses_constants_that_are_not_finite(alpha, d_a, d_b):
+    # a squared bound past float range raised a bare OverflowError from
+    # headline_bound, inf ones failed the audit as inf against inf, and a
+    # nan side constant was taken and failed the audit with bound nan
+    with pytest.raises(InputError):
+        EmbedParams.derive(alpha, d_a, d_b)
+
+
+def test_params_derive_takes_small_alphas_whose_bounds_are_finite():
+    p = EmbedParams.derive(1e-100, 1.0, 1.0)
+    assert math.isfinite(headline_bound(p))
 
 
 def test_headline_bound_values():
@@ -196,26 +215,47 @@ def test_embed_union_measures_each_side_once(kernel_calls, split_123):
         assert 0 < len(kernel_calls) <= most
 
 
-def test_embed_union_scans_each_side_once(monkeypatch, split_123):
+def test_embed_union_scans_each_side_once(report_scans, split_123):
     # one all-pairs scan per side, checked against params without another,
     # and one of full: 3 scans, 5 when both sides are rescaled (7 and 9
-    # when each build_psi scanned both sides again)
+    # when each build_psi scanned both sides again); alpha reads the side
+    # constants from the same scans
     inst = union_instance(30, 25, 3, 4, seed=1)
     cases = [(inst.space, inst.partition, inst.phi_a, inst.phi_b,
-              EmbedParams.derive(0.5, 1.0, 1.0), 3),
-             (*split_123, None, 5)]
-    scans = []
-    report = union_embed._distortion_report
+              {"params": EmbedParams.derive(0.5, 1.0, 1.0)}, 3),
+             (inst.space, inst.partition, inst.phi_a, inst.phi_b,
+              {"alpha": 0.5}, 3),
+             (*split_123, {}, 5)]
+    for X, P, phi_a, phi_b, kwargs, expected in cases:
+        report_scans.clear()
+        embed_union(X, P, phi_a, phi_b, **kwargs)
+        assert len(report_scans) == expected
 
-    def counted(*args):
-        scans.append(args)
-        return report(*args)
 
-    monkeypatch.setattr(union_embed, "_distortion_report", counted)
-    for X, P, phi_a, phi_b, params, expected in cases:
-        scans.clear()
-        embed_union(X, P, phi_a, phi_b, params=params)
-        assert len(scans) == expected
+def test_alpha_is_params_derived_from_the_measured_sides():
+    # alpha measures d_a and d_b, params claims them: on the selftest
+    # battery the two give the same embedding bit for bit when the claim
+    # is what the side reports measure
+    for k, inst in enumerate(_Context(0).battery):
+        X, P = inst.space, inst.partition
+        alpha = (0.5, 0.3114, 0.4)[k % 3]
+        d_a, d_b = (max(_normalize_side(X, idx, phi)[1].expansion, 1.0)
+                    for idx, phi in ((P.idx_a, inst.phi_a),
+                                     (P.idx_b, inst.phi_b)))
+        measured = embed_union(X, P, inst.phi_a, inst.phi_b, alpha=alpha)
+        claimed = embed_union(X, P, inst.phi_a, inst.phi_b,
+                              params=EmbedParams.derive(alpha, d_a, d_b,
+                                                        1e-7))
+        assert measured.params == claimed.params
+        assert np.array_equal(measured.full.points, claimed.full.points)
+        assert canonical_dumps(measured.as_dict()) \
+            == canonical_dumps(claimed.as_dict())
+
+
+def test_alpha_and_params_together_are_refused(small):
+    with pytest.raises(InputError, match="alpha or params"):
+        embed_union(small.space, small.partition, small.phi_a, small.phi_b,
+                    params=EmbedParams.derive(0.5, 1.0, 1.0), alpha=0.5)
 
 
 def test_embed_union_reaches_build_psi_by_module_attribute(monkeypatch,
