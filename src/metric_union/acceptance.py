@@ -26,11 +26,11 @@ from .glue import external_extend, glue_instance, glued_metric
 from .instances import distort_sides, sample_glue_instance, union_instance
 from .jsonio import canonical_dumps
 from .kirszbraun import PartialMap, extend_one_point, extend_sequential
-from .linalg import PointCloud, _measured, mds_best_effort, \
-    mds_isometric_embed, pairwise_distances
+from .linalg import mds_best_effort, mds_isometric_embed
 from .lower_bound import (build_123_metric, certified_lower_bound,
                           ratio_check, sample_split)
-from .metric import distortion_of, validate_metric
+from .metric import (PointCloud, _measured, distortion_of,
+                     pairwise_distances, validate_metric)
 from .seeds import stream
 from .union_embed import EmbedParams, embed_union
 

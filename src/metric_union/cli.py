@@ -25,8 +25,8 @@ from .errors import (AuditViolation, CertificateViolation,
                      InconsistentDuplicate, InputDistortionError, InputError,
                      LengthMismatchError, MetricUnionError,
                      MetricValidationError, NotEuclidean, OutOfMemory)
-from .jsonio import (_number, canonical_dumps, load_json, parse_cloud,
-                     parse_glue, parse_partition, parse_space, to_jsonable)
+from .jsonio import (canonical_dumps, load_json, parse_cloud, parse_glue,
+                     parse_partition, parse_space, to_jsonable)
 from .glue import external_extend
 from .linalg import mds_best_effort, mds_isometric_embed
 from .lower_bound import (_ratio_window, build_123_metric,
@@ -153,8 +153,7 @@ def cmd_embed(args):
     phi_b = parse_cloud(obj["phi_b"], "phi_b") if "phi_b" in obj \
         else mds_isometric_embed(_side_space(X, P.idx_b))
     alpha = args.alpha if args.alpha is not None else obj.get("alpha")
-    emb = embed_union(X, P, phi_a, phi_b, tol=args.tol,
-                      alpha=None if alpha is None else _number(alpha, "alpha"))
+    emb = embed_union(X, P, phi_a, phi_b, tol=args.tol, alpha=alpha)
     full = emb.as_dict()
     return {
         "embedding": {"dim": full["dim"], "points": full["points"]},
@@ -171,7 +170,7 @@ def cmd_cover(args):
     X, P = _load_space_partition(obj)
     alpha = args.alpha if args.alpha is not None else obj.get("alpha")
     # verifies the cover and lip_f; a JSON null means the default 1/2
-    C = build_cover(X, P, 0.5 if alpha is None else _number(alpha, "alpha"))
+    C = build_cover(X, P, 0.5 if alpha is None else alpha)
     return {
         "alpha": C.alpha,
         "cover_idx": C.cover_idx,

@@ -12,6 +12,7 @@ both properties before returning.  ``certify_f_lipschitz`` re-measures the
 Lipschitz constant of f and checks it against the 2(1 + 1/alpha) ceiling.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,14 +45,21 @@ def f_lip_bound(alpha: float) -> float:
     return 2.0 * (1.0 + 1.0 / alpha)
 
 
-def build_cover(X: FiniteMetricSpace, P: UnionPartition,
-                alpha: float) -> CoverResult:
-    """Greedy alpha-cover of P.idx_a with respect to P.idx_b."""
-    if not (0.0 < alpha <= 1.0):
+def _check_alpha(alpha):
+    """The one check of alpha: a real number (no bool) in (0, 1] whose
+    bound 2(1 + 1/alpha) is finite, else InputError."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) \
+            or not 0.0 < alpha <= 1.0:   # also nan
         raise InputError(f"alpha must lie in (0, 1], got {alpha!r}")
     if not np.isfinite(f_lip_bound(alpha)):
         raise InputError(f"alpha {alpha!r} is too small: its Lipschitz "
                          f"bound 2(1 + 1/alpha) overflows")
+
+
+def build_cover(X: FiniteMetricSpace, P: UnionPartition,
+                alpha: float) -> CoverResult:
+    """Greedy alpha-cover of P.idx_a with respect to P.idx_b."""
+    _check_alpha(alpha)
     ia = P.idx_a
     R = P.r_a
     DA = X.dist[np.ix_(ia, ia)]

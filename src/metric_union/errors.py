@@ -16,49 +16,48 @@ class MetricUnionError(Exception):
 class MetricValidationError(MetricUnionError):
     """A distance matrix failed one of the metric axioms.
 
-    ``violations`` holds every recorded violation (possibly truncated for
-    pathological inputs; ``total`` is the true count).
+    ``validate_metric`` sets ``violations``, every recorded violation
+    (truncated for pathological inputs), and ``total``, the true count.
     """
 
-    def __init__(self, message, violations=None, total=None):
+    def __init__(self, message):
         super().__init__(message)
-        self.violations = list(violations or [])
-        self.total = total if total is not None else len(self.violations)
+        self.violations = []
+        self.total = 0
 
 
 class AsymmetryError(MetricValidationError):
-    def __init__(self, i, j, gap, violations=None, total=None):
+    def __init__(self, i, j, gap):
         self.i, self.j, self.gap = i, j, gap
-        super().__init__(f"dist[{i}][{j}] != dist[{j}][{i}] (gap {gap:.3e})",
-                         violations, total)
+        super().__init__(f"dist[{i}][{j}] != dist[{j}][{i}] (gap {gap:.3e})")
 
 
 class NegativeDistanceError(MetricValidationError):
-    def __init__(self, i, j, value, violations=None, total=None):
+    def __init__(self, i, j, value):
         self.i, self.j, self.value = i, j, value
-        super().__init__(f"dist[{i}][{j}] = {value!r} < 0", violations, total)
+        super().__init__(f"dist[{i}][{j}] = {value!r} < 0")
 
 
 class NonzeroDiagonal(MetricValidationError):
-    def __init__(self, i, value, violations=None, total=None):
+    def __init__(self, i, value):
         self.i, self.value = i, value
-        super().__init__(f"dist[{i}][{i}] = {value!r} != 0", violations, total)
+        super().__init__(f"dist[{i}][{i}] = {value!r} != 0")
 
 
 class ZeroOffDiagonal(MetricValidationError):
-    def __init__(self, i, j, violations=None, total=None):
+    def __init__(self, i, j):
         self.i, self.j = i, j
-        super().__init__(f"dist[{i}][{j}] = 0 for distinct points", violations, total)
+        super().__init__(f"dist[{i}][{j}] = 0 for distinct points")
 
 
 class TriangleViolation(MetricValidationError):
     """d(i,j) > d(i,k) + d(k,j) beyond tolerance; ``slack`` is the excess."""
 
-    def __init__(self, i, j, k, slack=0.0, violations=None, total=None):
+    def __init__(self, i, j, k, slack=0.0):
         self.i, self.j, self.k, self.slack = i, j, k, slack
         super().__init__(
             f"triangle violated: d({i},{j}) > d({i},{k}) + d({k},{j}) "
-            f"by {slack:.3e}", violations, total)
+            f"by {slack:.3e}")
 
 
 # ---------------------------------------------------------------------------

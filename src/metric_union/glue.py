@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateViolation, InputError
-from .linalg import PointCloud, _measured
-from .metric import (_distortion_report, _min_plus, _readonly,
+from .metric import (PointCloud, _carrying, _cloud, _distortion_report,
+                     _index_list, _measured, _min_plus, _readonly,
                      build_partition, pairwise_distances, validate_metric)
 # no longer called here, but kept as a module attribute: the benchmark's
 # traced run wraps glue.distortion_of by name (bench/spans.py)
@@ -94,24 +94,6 @@ class ExternalExtension:
         }
 
 
-def _as_points(cloud, name):
-    pts = np.asarray(getattr(cloud, "points", cloud), dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise InputError(f"{name} must be a nonempty 2-d point array")
-    return pts
-
-
-def _index_array(idx, n, name):
-    arr = np.asarray(idx, dtype=np.intp).ravel()
-    if arr.size == 0:
-        raise InputError(f"{name} must be nonempty")
-    if arr.min() < 0 or arr.max() >= n:
-        raise InputError(f"{name} has entries outside [0, {n})")
-    if np.unique(arr).size != arr.size:
-        raise InputError(f"{name} has repeated entries")
-    return arr
-
-
 def glue_instance(u_points, v_points, a_idx, b_idx, pairing) -> GlueInstance:
     """Validate a pairing, measure its distortion, and normalize it.
 
@@ -121,20 +103,24 @@ def glue_instance(u_points, v_points, a_idx, b_idx, pairing) -> GlueInstance:
     contraction factor turns it into a non-contracting map with Lipschitz
     constant exactly ``d_f``, the form every glued-space statement
     assumes.  A single matched pair measures as an isometry.
+
+    ``a_idx`` (into U'), ``b_idx`` and ``pairing`` (into V') are nonempty
+    index lists of equal length; a bad list or point set raises
+    InputError.  The stored clouds carry no squared distances.
     """
-    U = _as_points(u_points, "u_points")
-    V = _as_points(v_points, "v_points")
-    a_idx = _index_array(a_idx, U.shape[0], "a_idx")
-    b_idx = _index_array(b_idx, V.shape[0], "b_idx")
-    pair = _index_array(pairing, V.shape[0], "pairing")
-    if not (a_idx.size == b_idx.size == pair.size):
-        raise InputError("a_idx, b_idx and pairing must have equal length")
+    U, V = _cloud(u_points), _cloud(v_points)
+    a_idx = _index_list(a_idx, U.m, "a_idx")
+    b_idx = _index_list(b_idx, V.m, "b_idx")
+    pair = _index_list(pairing, V.m, "pairing")
+    if not a_idx.size == b_idx.size == pair.size > 0:
+        raise InputError("a_idx, b_idx and pairing must be nonempty and "
+                         "of equal length")
     if not np.array_equal(np.sort(pair), np.sort(b_idx)):
         raise InputError("pairing must be a bijection onto b_idx")
 
     if a_idx.size >= 2:
-        du = pairwise_distances(U[a_idx])
-        dv = pairwise_distances(V[pair])
+        du = pairwise_distances(U.points[a_idx])
+        dv = pairwise_distances(V.points[pair])
         iu, jv = np.triu_indices(a_idx.size, k=1)
         du, dv = du[iu, jv], dv[iu, jv]
         if (du <= 0.0).any() or (dv <= 0.0).any():
@@ -148,8 +134,8 @@ def glue_instance(u_points, v_points, a_idx, b_idx, pairing) -> GlueInstance:
     v_scale = contraction
 
     return GlueInstance(
-        u_points=PointCloud(U),
-        v_points=PointCloud(V * v_scale),
+        u_points=_carrying(U, None),
+        v_points=PointCloud(V.points * v_scale),
         a_idx=_readonly(a_idx),
         b_idx=_readonly(b_idx),
         pairing=_readonly(pair),

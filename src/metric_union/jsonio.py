@@ -4,7 +4,8 @@ Emission is byte-deterministic: object keys are sorted, separators are
 fixed, and every float is rendered with 17 significant digits (enough to
 round-trip IEEE doubles exactly).  Parsing accepts integers wherever
 decimals are expected and converts shape or type problems into
-``InputError`` so the CLI can map them to a stable exit code.
+``InputError`` so the CLI can map them to a stable exit code.  Matrices
+and index lists take the library's one conversion and one index check.
 """
 
 import json
@@ -14,9 +15,9 @@ import numpy as np
 
 from .errors import InputError
 from .glue import GlueInstance, glue_instance
-from .linalg import PointCloud
-from .metric import FiniteMetricSpace, UnionPartition, build_partition, \
-    validate_metric
+from .metric import (FiniteMetricSpace, PointCloud, UnionPartition,
+                     _index_list, _real_array, build_partition,
+                     validate_metric)
 
 __all__ = ["canonical_dumps", "to_jsonable", "load_json", "parse_space",
            "parse_partition", "parse_cloud", "parse_glue"]
@@ -102,23 +103,9 @@ def _require(obj, key, where):
     return obj[key]
 
 
-def _matrix(value, where):
-    """A JSON list of numeric rows -> float matrix; JSON booleans are not
-    numbers here, as they are not indices in ``_integer``."""
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):   # 10**400 overflows
-        raise InputError(f"{where} must be a numeric matrix") from None
-    if arr.ndim != 2:
-        raise InputError(f"{where} must be two-dimensional")
-    if any(bool in set(map(type, row)) for row in value):
-        raise InputError(f"{where} must be a numeric matrix")
-    return arr
-
-
 def parse_space(obj) -> FiniteMetricSpace:
     """{"labels": [...]?, "dist": [[...]]} -> validated space."""
-    dist = _matrix(_require(obj, "dist", "space"), "space.dist")
+    dist = _real_array(_require(obj, "dist", "space"), 2, "space.dist")
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dist.shape[0]:
@@ -135,35 +122,18 @@ def _integer(value, where):
     return int(value)
 
 
-def _number(value, where):
-    """A finite JSON number (not a boolean) -> float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= 1e308:   # also nan, inf and huge ints
-        raise InputError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _indices(value, where):
-    """A JSON list of integers -> index array; never truncates 0.7 to 0."""
-    if not isinstance(value, list):
-        raise InputError(f"{where} must be an integer index list")
-    try:
-        return np.array([_integer(v, f"{where} entry") for v in value],
-                        dtype=np.intp)
-    except OverflowError:
-        raise InputError(f"{where} has an entry out of range") from None
-
-
 def parse_partition(obj, X: FiniteMetricSpace) -> UnionPartition:
-    """{"a": [...], "b": [...]} -> validated partition of ``X``."""
-    a = _indices(_require(obj, "a", "partition"), "partition.a")
-    b = _indices(_require(obj, "b", "partition"), "partition.b")
-    return build_partition(X, a, b)
+    """{"a": [...], "b": [...]} -> validated partition of ``X``; each
+    side takes the library's one index check, named by its JSON path."""
+    return build_partition(X, *(
+        _index_list(_require(obj, s, "partition"), X.n, f"partition.{s}")
+        for s in "ab"))
 
 
 def parse_cloud(obj, where="points") -> PointCloud:
     """{"dim": k, "points": [[...]]} -> point cloud."""
-    pts = _matrix(_require(obj, "points", where), f"{where}.points")
+    pts = _real_array(_require(obj, "points", where), 2,
+                      f"{where}.points")
     dim = obj.get("dim")
     if dim is not None and _integer(dim, f"{where}.dim") != pts.shape[1]:
         raise InputError(
@@ -172,12 +142,9 @@ def parse_cloud(obj, where="points") -> PointCloud:
 
 
 def parse_glue(obj) -> GlueInstance:
-    """{"u_points", "v_points", "a_idx", "b_idx", "pairing"} -> instance."""
+    """{"u_points", "v_points", "a_idx", "b_idx", "pairing"} -> instance;
+    ``glue_instance`` checks the index lists, named by their fields."""
     u = parse_cloud(_require(obj, "u_points", "glue input"), "u_points")
     v = parse_cloud(_require(obj, "v_points", "glue input"), "v_points")
-    return glue_instance(
-        u, v,
-        _indices(_require(obj, "a_idx", "glue input"), "a_idx"),
-        _indices(_require(obj, "b_idx", "glue input"), "b_idx"),
-        _indices(_require(obj, "pairing", "glue input"), "pairing"),
-    )
+    return glue_instance(u, v, *(_require(obj, k, "glue input")
+                                 for k in ("a_idx", "b_idx", "pairing")))

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InconsistentDuplicate, InputError, SolverStall
-from .linalg import PointCloud, _measured
+from .metric import PointCloud, _cloud, _measured
 
 __all__ = ["PartialMap", "extend_one_point", "extend_sequential"]
 
@@ -80,6 +80,8 @@ class PartialMap:
     lip: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "sources", _cloud(self.sources))
+        object.__setattr__(self, "targets", _cloud(self.targets))
         if self.sources.m != self.targets.m:
             raise InputError(
                 f"{self.sources.m} sources vs {self.targets.m} targets")
@@ -401,7 +403,7 @@ def extend_one_point(M: PartialMap, x, tol=1e-7) -> np.ndarray:
     _check_tol(tol)
     if M.m == 0:
         raise InputError("cannot extend an empty partial map")
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = PointCloud([x]).points[0]
     if x.shape[0] != M.sources.dim:
         raise InputError(
             f"point has dim {x.shape[0]}, sources have dim {M.sources.dim}")
@@ -434,6 +436,7 @@ def extend_sequential(M: PartialMap, xs: PointCloud, tol=1e-7) -> PointCloud:
     _check_tol(tol)
     if M.m == 0:
         raise InputError("cannot extend an empty partial map")
+    xs = _cloud(xs)
     if xs.m and xs.dim != M.sources.dim:
         raise InputError(
             f"xs has dim {xs.dim}, sources have dim {M.sources.dim}")

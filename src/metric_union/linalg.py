@@ -1,19 +1,18 @@
-"""Dense numeric primitives: point clouds, symmetric eigensystems, MDS.
+"""Dense numeric primitives: symmetric eigensystems, MDS, direct sums.
 
 The eigensolver wraps LAPACK (via numpy) behind a checked interface: inputs
 must be symmetric, outputs are re-verified against reconstruction and
 orthonormality residuals before anything downstream consumes them.
 """
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import metric
 from .errors import (ConvergenceError, InputError, LengthMismatchError,
                      NotEuclidean, NotSymmetricError)
-from .metric import FiniteMetricSpace, _readonly, pairwise_distances
+from .metric import (FiniteMetricSpace, PointCloud, _carrying, _cloud,
+                     _measured, _readonly, pairwise_distances)
 
 __all__ = [
     "PointCloud", "SymEigen", "sym_eigen", "mds_isometric_embed",
@@ -22,75 +21,6 @@ __all__ = [
 
 _SYM_TOL = 1e-12   # sym_eigen's asymmetry limit, relative to max|M|
 _MDS_TOL = 1e-9    # MDS eigenvalue floor, relative to the top eigenvalue
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    """Immutable (m, dim) array of points in Euclidean space.
-
-    ``sq_dist`` is None or the read-only (m, m) squared-distance matrix of
-    ``points``: either the raw output of one distance-kernel call, or
-    derived exactly from kernel outputs by a re-index, a sum or a factor
-    scale**2, which rounds each entry within a few ulps of what measuring
-    again gives.  One rule fills it: the library measures the clouds it
-    builds and measures anyway (both MDS results, the normalized and glued
-    sides, psi's placed rows, psi_Delta), and ``take``, ``scaled`` and
-    ``direct_sum`` of clouds that carry one carry the derived matrix (the
-    re-index, factor**2 times it, the sum).  A cloud is never written after
-    it is built, so a caller's cloud never gains one.
-    ``pairwise_distances``, ``distortion_of``, ``ratio_check`` and
-    ``PartialMap`` read it instead of measuring again.
-    """
-
-    points: np.ndarray
-    sq_dist: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise InputError(f"point cloud must be 2-d, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise InputError("point cloud contains non-finite coordinates")
-        object.__setattr__(self, "points", _readonly(pts))
-
-    @property
-    def m(self):
-        return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    def take(self, idx):
-        """Sub-cloud at the given row indices (in the given order)."""
-        i, sq = np.asarray(idx, dtype=np.intp), self.sq_dist
-        return _carrying(PointCloud(self.points[i]),
-                         None if sq is None else sq[np.ix_(i, i)])
-
-    def scaled(self, factor):
-        f, sq = float(factor), self.sq_dist
-        return _carrying(PointCloud(self.points * f),
-                         None if sq is None else f * f * sq)
-
-
-def _carrying(cloud, sq):
-    """A copy of ``cloud`` that shares its read-only points and carries
-    ``sq`` (made read-only) as its squared distances, or no matrix when
-    ``sq`` is None.  ``cloud`` itself is not written."""
-    out = copy.copy(cloud)
-    if sq is not None:
-        sq.setflags(write=False)
-    object.__setattr__(out, "sq_dist", sq)
-    return out
-
-
-def _measured(cloud):
-    """A copy of ``cloud`` that carries its squared distances, measured by
-    one kernel call unless ``cloud`` carries them already."""
-    sq = cloud.sq_dist
-    return _carrying(cloud, metric._squared_distances(cloud.points)
-                     if sq is None else sq)
 
 
 @dataclass(frozen=True)
@@ -201,7 +131,7 @@ def direct_sum(clouds) -> PointCloud:
     none.  Raises LengthMismatchError when the clouds disagree on point
     count.
     """
-    clouds = list(clouds)
+    clouds = [_cloud(c) for c in clouds]
     if not clouds:
         raise InputError("direct_sum of no clouds")
     counts = {c.m for c in clouds}

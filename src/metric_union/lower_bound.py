@@ -14,15 +14,16 @@ a closed-form inverse square root, so one symmetric eigensolve of the
 e1 class gives the eigenvalues of both classes.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (InputError, RangeViolation, RetryBudgetExceeded,
                      SingularPencil)
-from . import metric
 from .linalg import sym_eigen
-from .metric import FiniteMetricSpace, _readonly, build_partition
+from .metric import (FiniteMetricSpace, _cloud, _measured, _readonly,
+                     build_partition)
 # no longer called here, but kept as a module attribute: the benchmark's
 # traced run wraps lower_bound.validate_metric by name (bench/spans.py)
 from .metric import validate_metric  # noqa: F401
@@ -118,6 +119,9 @@ def sample_split(n: int, seed: int) -> BipartiteSplit:
     to 64 attempts.  Exhaustion is expected at n = 16, not a bug: the
     minimum delta over thousands of samples there is about 1.12.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Real) or n % 1:
+        raise InputError(f"n must be an integer, got {n!r}")   # also nan
+    n = int(n)   # 64.0 is 64, as an index 2.0 is 2
     if n < 4:
         raise InputError(f"need n >= 4, got {n}")
     if int(n) ** 2 > np.iinfo(np.intp).max // 8:   # numpy refuses the draw
@@ -175,21 +179,16 @@ def ratio_check(split: BipartiteSplit, images) -> tuple:
 
     Both ratios must land in [(1+delta*)^-2, (1+delta*)^2], which the
     measured sandwich guarantees for every image; a value outside (beyond
-    round-off) is a fault and raises RangeViolation naming the class.  A
-    cloud's carried ``sq_dist`` supplies the cross block when present.
+    round-off) is a fault and raises RangeViolation naming the class.
+    ``images`` (2n rows) converts through ``PointCloud``, and the cross
+    block is read from its squared distances: carried ones, else one
+    kernel call measures the whole image.
     """
-    pts = np.asarray(getattr(images, "points", images), dtype=np.float64)
-    if pts.shape[0] != 2 * split.n:
-        raise InputError(f"{pts.shape[0]} image rows for {2 * split.n} "
-                         f"vertices")
-    n = split.n
-    sq = getattr(images, "sq_dist", None)
-    if sq is None:
-        cross = metric._squared_distances(pts[:n], pts[n:])  # every A-B pair
-    else:
-        # contiguous like the kernel's own result, so the means below sum
-        # in the same order
-        cross = np.ascontiguousarray(sq[:n, n:])
+    images, n = _cloud(images), split.n
+    if images.m != 2 * n:
+        raise InputError(f"{images.m} image rows for {2 * n} vertices")
+    # copied contiguous: the means below sum in an order set by the layout
+    cross = np.ascontiguousarray(_measured(images).sq_dist[:n, n:])
     mean_all = float(cross.mean())
     if mean_all == 0.0:
         raise InputError("all cross images coincide; ratios are undefined")

@@ -1,14 +1,17 @@
-"""Finite metric spaces, two-sided partitions, distortion reports, and the
-Euclidean distance kernel every audit measures with.
+"""Finite metric spaces, point clouds, two-sided partitions, distortion
+reports, and the Euclidean distance kernel every audit measures with.
 
 A space is a dense symmetric distance matrix with optional labels.  A
 partition marks two (possibly overlapping) index sets A and B that together
 cover the space, and precomputes R_a = d(a, B) and R_b = d(b, A), the
-distances from each point of one side to the other side.
+distances from each point of one side to the other side.  Distance
+matrices, point sets (``PointCloud``) and index lists (``_index_list``)
+enter through one conversion, ``_real_array``.
 """
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +20,7 @@ from .errors import (AsymmetryError, CollapsedPairError, CoverageError,
                      NonzeroDiagonal, TriangleViolation, ZeroOffDiagonal)
 
 __all__ = [
-    "FiniteMetricSpace", "UnionPartition", "DistortionReport",
+    "FiniteMetricSpace", "PointCloud", "UnionPartition", "DistortionReport",
     "validate_metric", "build_partition", "distortion_of",
     "pairwise_distances",
 ]
@@ -29,11 +32,53 @@ _TILE = 1 << 15         # float64 elements in one kernel tile (256 KB)
 # costs one pass over k, so n < 256 takes one block; larger ones lose the
 # cache
 _SCREEN_ROWS = 128
+# the types a real entry may have: Python's and numpy's integers and floats
+_REAL_TYPES = frozenset([int, float] + [np.dtype(c).type for c in (
+    np.typecodes["AllInteger"] + np.typecodes["Float"])])
 
 
 def _readonly(a):
     a = np.array(a)  # private copy: never freeze a caller's array in place
     a.setflags(write=False)
+    return a
+
+
+def _real_array(value, ndim, what):
+    """``value`` as a float64 array of ``ndim`` (1 or 2) dimensions of
+    finite real numbers, else InputError naming ``what``.  An ndarray of
+    integer or float dtype converts as it is (float64 is not copied); any
+    other value must give, per row (one row when ``ndim`` is 1), a set of
+    entry types within ``_REAL_TYPES``.  So strings are not parsed, and
+    booleans, None, complex values, ragged or nested rows and integers
+    beyond float range are refused; 2**64 is 1.8e19."""
+    try:
+        if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+            rows = value if ndim == 2 else (value,)
+            if not all(set(map(type, row)) <= _REAL_TYPES for row in rows):
+                raise TypeError
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):   # also ragged, 10**400
+        raise InputError(f"{what} must be a numeric "
+                         f"{'matrix' if ndim == 2 else 'list'}") from None
+    if a.ndim != ndim:
+        raise InputError(f"{what} must be {ndim}-d, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{what} contains non-finite entries")
+    return a
+
+
+def _index_list(idx, n, what):
+    """``idx`` as a 1-d intp array of distinct indices in [0, n), else
+    InputError: the one check of index lists.  Entries must have integral
+    values (2.0 is index 2), so 0.7, True and "0" are refused."""
+    a = _real_array(idx, 1, what)
+    if np.any(a != np.floor(a)):
+        raise InputError(f"{what} has entries that are not integers")
+    if a.size and (a.min() < 0 or a.max() >= n):
+        raise InputError(f"{what} has entries outside [0, {n})")
+    a = a.astype(np.intp)
+    if np.unique(a).size != a.size:
+        raise InputError(f"{what} lists an index more than once")
     return a
 
 
@@ -64,6 +109,80 @@ class FiniteMetricSpace:
         """Distance submatrix over the given indices (copy)."""
         idx = np.asarray(idx, dtype=np.intp)
         return self.dist[np.ix_(idx, idx)].copy()
+
+
+@dataclass(frozen=True)
+class PointCloud:
+    """Immutable (m, dim) array of points in Euclidean space.
+
+    The one intake of point sets (public entries call it via ``_cloud``):
+    ``points`` converts by ``_real_array`` to a read-only float64 copy;
+    what is not a 2-d array of finite real numbers raises InputError.
+
+    ``sq_dist`` is None or the read-only (m, m) squared-distance matrix of
+    ``points``: either the raw output of one distance-kernel call, or
+    derived exactly from kernel outputs by a re-index, a sum or a factor
+    scale**2, which rounds each entry within a few ulps of what measuring
+    again gives.  One rule fills it: the library measures the clouds it
+    builds and measures anyway (both MDS results, the normalized and glued
+    sides, psi's placed rows, psi_Delta), and ``take``, ``scaled`` and
+    ``direct_sum`` of clouds that carry one carry the derived matrix (the
+    re-index, factor**2 times it, the sum).  A cloud is never written after
+    it is built, so a caller's cloud never gains one.
+    ``pairwise_distances``, ``distortion_of``, ``ratio_check`` and
+    ``PartialMap`` read it instead of measuring again.
+    """
+
+    points: np.ndarray
+    sq_dist: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", _readonly(
+            _real_array(self.points, 2, "point cloud")))
+
+    @property
+    def m(self):
+        return self.points.shape[0]
+
+    @property
+    def dim(self):
+        return self.points.shape[1]
+
+    def take(self, idx):
+        """Sub-cloud at the given row indices (in the given order)."""
+        i, sq = np.asarray(idx, dtype=np.intp), self.sq_dist
+        return _carrying(PointCloud(self.points[i]),
+                         None if sq is None else sq[np.ix_(i, i)])
+
+    def scaled(self, factor):
+        f, sq = float(factor), self.sq_dist
+        return _carrying(PointCloud(self.points * f),
+                         None if sq is None else f * f * sq)
+
+
+def _cloud(obj):
+    """``obj`` when it is a PointCloud, else ``PointCloud(obj)``."""
+    return obj if isinstance(obj, PointCloud) else PointCloud(obj)
+
+
+def _carrying(cloud, sq):
+    """A copy of ``cloud`` that shares its read-only points and carries
+    ``sq`` (made read-only) as its squared distances, or no matrix when
+    ``sq`` is None.  ``cloud`` itself is not written."""
+    out = copy.copy(cloud)
+    if sq is not None:
+        sq.setflags(write=False)
+    object.__setattr__(out, "sq_dist", sq)
+    return out
+
+
+def _measured(cloud):
+    """A copy of ``cloud`` that carries its squared distances, measured by
+    one kernel call unless ``cloud`` carries them already."""
+    sq = cloud.sq_dist
+    return _carrying(cloud, _squared_distances(cloud.points)
+                     if sq is None else sq)
 
 
 @dataclass(frozen=True)
@@ -124,6 +243,8 @@ def validate_metric(dist, labels=None, tol=1e-12) -> FiniteMetricSpace:
     Parameters
     ----------
     dist : array_like, shape (n, n)
+        Finite real numbers, converted as ``PointCloud`` converts
+        points; a float64 array is not copied.
     labels : sequence of length n, optional
     tol : float
         Relative slack for the triangle inequality; d(i,j) may exceed
@@ -155,14 +276,12 @@ def validate_metric(dist, labels=None, tol=1e-12) -> FiniteMetricSpace:
         One subclass per axiom; the raised instance is the first violation
         found and carries the full list in ``.violations``.
     """
-    D = np.asarray(dist, dtype=np.float64)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+    D = _real_array(dist, 2, "distance matrix")
+    if D.shape[0] != D.shape[1]:
         raise InputError(f"distance matrix must be square, got shape {D.shape}")
     n = D.shape[0]
     if n == 0:
         raise InputError("empty distance matrix")
-    if not np.all(np.isfinite(D)):
-        raise InputError("distance matrix contains non-finite entries")
     if labels is None:
         labels = tuple(range(n))
     else:
@@ -233,20 +352,16 @@ def validate_metric(dist, labels=None, tol=1e-12) -> FiniteMetricSpace:
 def build_partition(X: FiniteMetricSpace, idx_a, idx_b) -> UnionPartition:
     """Build a validated A/B partition of ``X`` (overlap allowed).
 
-    Raises CoverageError if some point is in neither side, EmptySideError
-    if a side is empty, InputError on out-of-range or duplicated indices.
+    Each side is an index list: integral numbers in [0, X.n), none
+    repeated, else InputError (``_index_list``).  Raises EmptySideError
+    if a side is empty, CoverageError if some point is in neither side.
     """
     out = []
     for name, idx in (("a", idx_a), ("b", idx_b)):
-        arr = np.asarray(idx, dtype=np.intp).ravel()
+        arr = _index_list(idx, X.n, f"side {name!r}")
         if arr.size == 0:
             raise EmptySideError(name)
-        if arr.min(initial=0) < 0 or (arr.size and arr.max() >= X.n):
-            raise InputError(f"side {name!r} has indices outside [0, {X.n})")
-        uniq = np.unique(arr)
-        if uniq.size != arr.size:
-            raise InputError(f"side {name!r} lists an index more than once")
-        out.append(uniq)
+        out.append(np.sort(arr))
     ia, ib = out
     covered = np.zeros(X.n, dtype=bool)
     covered[ia] = True
@@ -372,20 +487,18 @@ def pairwise_distances(p, q=None) -> np.ndarray:
 def distortion_of(X: FiniteMetricSpace, images, subset=None) -> DistortionReport:
     """Distortion of the map point -> image over ``subset`` (default: all).
 
-    ``images`` is a point cloud (or bare (m, dim) array) with one row per
-    subset element, in subset order; a cloud's carried ``sq_dist`` is
-    used when present.  Raises CollapsedPairError if two distinct points
-    share an image.
+    ``images`` is a point cloud (or what ``PointCloud`` converts) with one
+    row per subset element, in subset order; a cloud's carried
+    ``sq_dist`` is used when present.  ``subset`` is an index list.
+    Raises CollapsedPairError if two distinct points share an image.
     """
-    m = np.shape(getattr(images, "points", images))[0]
-    if subset is None:
-        subset = np.arange(X.n)
-    subset = np.asarray(subset, dtype=np.intp)
-    if m != subset.size:
-        raise InputError(f"{m} image rows for {subset.size} points")
-    sq = getattr(images, "sq_dist", None)
-    sq = _squared_distances(images) if sq is None else sq
-    return _distortion_report(X.dist[np.ix_(subset, subset)], sq, subset)
+    images = _cloud(images)
+    subset = (np.arange(X.n) if subset is None
+              else _index_list(subset, X.n, "subset"))
+    if images.m != subset.size:
+        raise InputError(f"{images.m} image rows for {subset.size} points")
+    return _distortion_report(X.dist[np.ix_(subset, subset)],
+                              _measured(images).sq_dist, subset)
 
 
 def _distortion_report(dm, sq, subset):

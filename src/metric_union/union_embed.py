@@ -37,12 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metric
-from .cover import build_cover, f_lip_bound
+from .cover import _check_alpha, build_cover, f_lip_bound
 from .errors import AuditViolation, InputDistortionError, InputError
 from .kirszbraun import PartialMap, _check_tol, extend_sequential
-from .linalg import PointCloud, _carrying, _measured, direct_sum
-from .metric import (DistortionReport, FiniteMetricSpace, UnionPartition,
-                     _distortion_report)
+from .linalg import direct_sum
+from .metric import (DistortionReport, FiniteMetricSpace, PointCloud,
+                     UnionPartition, _carrying, _cloud, _distortion_report,
+                     _measured)
 # no longer called here, but kept as a module attribute: the benchmark's
 # traced run wraps union_embed.distortion_of by name (bench/spans.py)
 from .metric import distortion_of  # noqa: F401
@@ -83,8 +84,7 @@ class EmbedParams:
 
     @staticmethod
     def derive(alpha, d_a, d_b, tol=1e-7):
-        if not (0.0 < alpha <= 1.0):
-            raise InputError(f"alpha must lie in (0, 1], got {alpha!r}")
+        _check_alpha(alpha)
         if not (d_a >= 1.0 and d_b >= 1.0):   # also nan
             raise InputError(
                 f"side constants must be >= 1, got {d_a!r}, {d_b!r}")
@@ -170,10 +170,6 @@ class UnionEmbedding:
             "scale_a": self.scale_a,
             "scale_b": self.scale_b,
         }
-
-
-def _as_cloud(obj):
-    return obj if isinstance(obj, PointCloud) else PointCloud(np.asarray(obj))
 
 
 def _check_side(rep, side, lip):
@@ -455,8 +451,8 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     """
     if alpha is not None and params is not None:
         raise InputError("give alpha or params, not both")
-    phi_a, rep_a, scale_a = _normalize_side(X, P.idx_a, _as_cloud(phi_a))
-    phi_b, rep_b, scale_b = _normalize_side(X, P.idx_b, _as_cloud(phi_b))
+    phi_a, rep_a, scale_a = _normalize_side(X, P.idx_a, _cloud(phi_a))
+    phi_b, rep_b, scale_b = _normalize_side(X, P.idx_b, _cloud(phi_b))
     if params is None:
         d_a, d_b = max(rep_a.expansion, 1.0), max(rep_b.expansion, 1.0)
         alpha = select_alpha(d_a, d_b) if alpha is None else alpha
