@@ -7,8 +7,8 @@ matching spectral lower-bound construction, a point-set gluing/extension
 routine, generators for test instances, and a JSON-speaking CLI.
 """
 
-from .cover import (CoverResult, build_cover, certify_f_lipschitz,
-                    f_lip_bound, verify_cover)
+from .audit import AuditEntry
+from .cover import CoverResult, build_cover, f_lip_bound, verify_cover
 from .errors import (AsymmetryError, AuditViolation, CertificateViolation,
                      CollapsedPairError, ConvergenceError, CoverageError,
                      EmptySideError, InconsistentDuplicate,
@@ -27,14 +27,14 @@ from .jsonio import (canonical_dumps, load_json, parse_cloud, parse_glue,
 from .kirszbraun import PartialMap, extend_one_point, extend_sequential
 from .linalg import (PointCloud, SymEigen, direct_sum, mds_best_effort,
                      mds_isometric_embed, pairwise_distances, sym_eigen)
-from .lower_bound import (BipartiteSplit, build_123_metric,
+from .lower_bound import (BipartiteSplit, audit_image, build_123_metric,
                           certified_lower_bound, choose_n_for_epsilon,
                           measure_delta, ratio_check, sample_split)
 from .metric import (DistortionReport, FiniteMetricSpace, UnionPartition,
                      build_partition, distortion_of, validate_metric)
 from .seeds import stream
-from .union_embed import (AuditEntry, EmbedParams, UnionEmbedding,
-                          embed_union, headline_bound, select_alpha)
+from .union_embed import (EmbedParams, UnionEmbedding, embed_union,
+                          headline_bound, select_alpha)
 
 __version__ = "0.1.0"
 
@@ -49,10 +49,10 @@ __all__ = [
     "NotEuclidean", "NotSymmetricError", "OutOfMemory", "PartialMap",
     "PointCloud", "RangeViolation", "RetryBudgetExceeded",
     "SingularPencil", "SolverStall", "SymEigen", "TriangleViolation",
-    "UnionEmbedding", "UnionPartition", "ZeroOffDiagonal", "build_123_metric",
-    "build_cover", "build_partition", "canonical_dumps",
-    "certified_lower_bound", "certify_f_lipschitz", "choose_n_for_epsilon",
-    "direct_sum", "distort_sides", "distortion_of", "embed_union",
+    "UnionEmbedding", "UnionPartition", "ZeroOffDiagonal", "audit_image",
+    "build_123_metric", "build_cover", "build_partition", "canonical_dumps",
+    "certified_lower_bound", "choose_n_for_epsilon", "direct_sum",
+    "distort_sides", "distortion_of", "embed_union",
     "extend_one_point", "extend_sequential", "external_extend", "f_lip_bound",
     "glue_instance", "glued_metric", "headline_bound", "load_json",
     "measure_delta", "mds_best_effort", "mds_isometric_embed",

@@ -20,17 +20,17 @@ from functools import cached_property
 import numpy as np
 
 from .cover import build_cover, f_lip_bound
-from .errors import (AuditViolation, MetricUnionError, RetryBudgetExceeded,
-                     SolverStall)
+from .errors import (AuditViolation, CertificateViolation, MetricUnionError,
+                     RetryBudgetExceeded, SolverStall)
 from .glue import external_extend, glue_instance, glued_metric
 from .instances import distort_sides, sample_glue_instance, union_instance
 from .jsonio import canonical_dumps
 from .kirszbraun import PartialMap, extend_one_point, extend_sequential
 from .linalg import mds_best_effort, mds_isometric_embed
-from .lower_bound import (build_123_metric, certified_lower_bound,
-                          ratio_check, sample_split)
-from .metric import (PointCloud, _measured, distortion_of,
-                     pairwise_distances, validate_metric)
+from .lower_bound import (audit_image, build_123_metric,
+                          certified_lower_bound, sample_split)
+from .metric import (PointCloud, _measured, pairwise_distances,
+                     validate_metric)
 from .seeds import stream
 from .union_embed import EmbedParams, embed_union
 
@@ -285,10 +285,11 @@ def check_extension_certificates(ctx):
         f"20 planar solves: max |F - grid| {_fmt(worst_gap)}")
 
 
-def _respects_bound(X, images, bound, split):
-    rep = distortion_of(X, images)
-    ratio_check(split, images)
-    return rep.distortion >= bound - 1e-9, rep.distortion
+def _respects_bound(X, images, split):
+    try:
+        return True, audit_image(split, X, images)[0].measured
+    except CertificateViolation as exc:   # the certified bound's entry
+        return False, exc.measured
 
 
 def check_lower_bound(ctx):
@@ -313,8 +314,8 @@ def check_lower_bound(ctx):
         phi_b = mds_isometric_embed(validate_metric(X.sub(P.idx_b)))
         emb = embed_union(X, P, phi_a, phi_b)
         best_effort = mds_best_effort(X)
-        legs = [_respects_bound(X, emb.full, bound, split),
-                _respects_bound(X, best_effort, bound, split)]
+        legs = [_respects_bound(X, emb.full, split),
+                _respects_bound(X, best_effort, split)]
         base = best_effort.points
         for j in range(10):
             rng = stream(ctx.seed, "acceptance.projection", 100 * n + j)
@@ -322,7 +323,7 @@ def check_lower_bound(ctx):
             proj = base @ rng.normal(size=(base.shape[1], dim)) \
                 / np.sqrt(dim)
             legs.append(_respects_bound(X, _measured(PointCloud(proj)),
-                                        bound, split))
+                                        split))
         n_ok = sum(1 for good, _ in legs if good)
         ok = ok and n_ok == len(legs)
         low = min(d for _, d in legs)

@@ -7,9 +7,9 @@ A cover A' of A (w.r.t. B, at parameter alpha) satisfies:
   (2) distinct cover points u, v satisfy d(u, v) >= alpha * min(R_u, R_v).
 
 ``build_cover`` constructs one greedily (ascending R, ball removal), picks
-for each a the closest qualifying witness f(a), and exhaustively verifies
-both properties before returning.  ``certify_f_lipschitz`` re-measures the
-Lipschitz constant of f and checks it against the 2(1 + 1/alpha) ceiling.
+for each a the closest qualifying witness f(a), and returns it with the
+entries of ``verify_cover``, which rechecks both properties, the map f and
+its Lipschitz constant against the 2(1 + 1/alpha) ceiling exhaustively.
 """
 
 import numbers
@@ -17,11 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CertificateViolation, InputError
+from .audit import Collector, raise_failing
+from .errors import InputError
 from .metric import FiniteMetricSpace, UnionPartition, _readonly
 
-__all__ = ["CoverResult", "build_cover", "verify_cover",
-           "certify_f_lipschitz", "f_lip_bound"]
+__all__ = ["CoverResult", "build_cover", "verify_cover", "f_lip_bound"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class CoverResult:
     is aligned with cover_idx: nearest[k] is the space index of the B-point
     closest to cover_idx[k], so dist[cover_idx[k], nearest[k]] equals the
     point's distance to B exactly.  Overlap points map to themselves.
+    ``audit`` holds the entries ``build_cover`` checked the result with.
     """
 
     alpha: float
@@ -39,6 +40,7 @@ class CoverResult:
     nearest: np.ndarray
     lip_f: float
     lip_bound: float
+    audit: tuple = ()
 
 
 def f_lip_bound(alpha: float) -> float:
@@ -90,83 +92,56 @@ def build_cover(X: FiniteMetricSpace, P: UnionPartition,
                          nearest=_readonly(nearest),
                          lip_f=0.0,
                          lip_bound=f_lip_bound(alpha))
-    verify_cover(X, P, result)
-    return replace(result, lip_f=certify_f_lipschitz(X, P, result))
+    audit = verify_cover(X, P, result)
+    return replace(result, lip_f=audit[-1].measured, audit=audit)
 
 
 def verify_cover(X: FiniteMetricSpace, P: UnionPartition,
-                 C: CoverResult) -> None:
-    """Exhaustively recheck cover properties (1) and (2).
+                 C: CoverResult) -> tuple:
+    """Exhaustively recheck cover properties (1) and (2), the nearest-point
+    map (it lands in B, realizes each R exactly and fixes overlap points)
+    and lip(f) against 2(1 + 1/alpha); returns their entries, of which
+    the last, "cover.f_lipschitz", measures lip(f) (0 for one point).
 
-    Raises CertificateViolation on any failure; this signals a bug in the
+    lip(f) allows 1e-9 of its bound; the others compare exactly.  Raises
+    CertificateViolation naming a failing entry; this signals a bug in the
     construction, never a legitimate outcome.
     """
-    ia = P.idx_a
-    R = P.r_a
+    ia, ib, R = P.idx_a, P.idx_b, P.r_a
+    cov, near = C.cover_idx, C.nearest
     pos_of = {int(v): k for k, v in enumerate(ia)}
-    cov_pos = np.asarray([pos_of[int(c)] for c in C.cover_idx], dtype=np.intp)
+    Rc = R[np.asarray([pos_of[int(c)] for c in cov], dtype=np.intp)]
+    audit = Collector()
 
-    # property (1): every a in A has a cover point a' with R_{a'} <= R_a
-    # and d(a, a') <= alpha * R_a
-    Rc = R[cov_pos]
-    Dac = X.dist[np.ix_(ia, C.cover_idx)]
-    has = ((Rc[None, :] <= R[:, None])
-           & (Dac <= C.alpha * R[:, None])).any(axis=1)
-    if not has.all():
-        a = int(ia[int(np.argmax(~has))])
-        raise CertificateViolation("cover.witness_exists", a,
-                                   0.0, float(C.alpha))
+    # (1): each a's least d(a, a') - alpha * R_a over the cover points a'
+    # with R_{a'} <= R_a is at most 0 (inf where none qualifies; an empty
+    # cover pairs each a with itself)
+    excess = X.dist[np.ix_(ia, cov)]
+    excess -= C.alpha * R[:, None]
+    excess[Rc[None, :] > R[:, None]] = np.inf
+    best = cov[np.argmin(excess, axis=1)] if cov.size else ia
+    audit.add("cover.witness_exists", "upper",
+              excess.min(axis=1, initial=np.inf), (ia, best), 0.0)
+    # (2) over distinct cover points
+    iu, ju = np.triu_indices(cov.size, k=1)
+    u, v = cov[iu], cov[ju]
+    audit.add("cover.separation", "lower",
+              X.dist[u, v] - C.alpha * np.minimum(Rc[iu], Rc[ju]), (u, v), 0.0)
+    # the nearest-point map
+    is_b = np.zeros(X.n, dtype=bool)
+    is_b[ib] = True
+    audit.add("cover.nearest_in_b", "upper", ~is_b[near], (cov, near), 0.0)
+    audit.add("cover.nearest_realizes_r", "upper",
+              np.abs(X.dist[cov, near] - Rc), (cov, near), 0.0)
+    audit.add("cover.overlap_fixed", "upper", is_b[cov] & (near != cov),
+              (cov, near), 0.0)
 
-    # property (2) pairwise over the cover
-    m = cov_pos.size
-    if m > 1:
-        Dc = X.dist[np.ix_(C.cover_idx, C.cover_idx)]
-        floor = C.alpha * np.minimum(Rc[:, None], Rc[None, :])
-        bad = (Dc < floor) & ~np.eye(m, dtype=bool)
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise CertificateViolation(
-                "cover.separation",
-                (int(C.cover_idx[i]), int(C.cover_idx[j])),
-                float(Dc[i, j]), float(floor[i, j]))
-
-    # nearest-point map: lands in B, realizes the distance to B exactly,
-    # and fixes overlap points
-    b_set = set(int(v) for v in P.idx_b)
-    for k, c in enumerate(C.cover_idx):
-        c = int(c)
-        f_c = int(C.nearest[k])
-        if f_c not in b_set:
-            raise CertificateViolation("cover.nearest_in_b", (c, f_c),
-                                       float(f_c), 0.0)
-        if X.dist[c, f_c] != R[cov_pos[k]]:
-            raise CertificateViolation("cover.nearest_realizes_r", (c, f_c),
-                                       float(X.dist[c, f_c]),
-                                       float(R[cov_pos[k]]))
-        if c in b_set and f_c != c:
-            raise CertificateViolation("cover.overlap_fixed", (c, f_c),
-                                       float(f_c), float(c))
-
-
-def certify_f_lipschitz(X: FiniteMetricSpace, P: UnionPartition,
-                        C: CoverResult) -> float:
-    """Measured Lipschitz constant of the nearest-point map on the cover.
-
-    Certifies lip(f) <= 2(1 + 1/alpha) within 1e-9 relative slack and
-    returns the measured value (0 for a singleton cover).
-    """
-    m = C.cover_idx.size
-    if m < 2:
-        return 0.0
-    D = X.dist[np.ix_(C.cover_idx, C.cover_idx)]
-    Df = X.dist[np.ix_(C.nearest, C.nearest)]
-    iu, ju = np.triu_indices(m, k=1)
-    ratios = Df[iu, ju] / D[iu, ju]
-    k = int(np.argmax(ratios))
-    lip = float(ratios[k])
     bound = f_lip_bound(C.alpha)
-    if lip > bound * (1.0 + 1e-9):
-        raise CertificateViolation(
-            "cover.f_lipschitz",
-            (int(C.cover_idx[iu[k]]), int(C.cover_idx[ju[k]])), lip, bound)
-    return lip
+    audit.add("cover.f_lipschitz", "upper",
+              X.dist[near[iu], near[ju]] / X.dist[u, v], (u, v), bound,
+              allow=1e-9 * bound)
+    if cov.size < 2:   # no pair: f on one point is 0-Lipschitz
+        audit.scalar("cover.f_lipschitz", "upper", 0.0, bound,
+                     allow=1e-9 * bound)
+    raise_failing(audit.entries)
+    return tuple(audit.entries)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateViolation, InputError
+from .audit import Collector, raise_failing
+from .errors import InputError
 from .metric import (PointCloud, _carrying, _cloud, _distortion_report,
                      _index_list, _measured, _min_plus, _readonly,
                      build_partition, pairwise_distances, validate_metric)
@@ -37,9 +38,6 @@ from .union_embed import UnionEmbedding, embed_union
 
 __all__ = ["GlueInstance", "ExternalExtension", "glue_instance",
            "glued_metric", "external_extend"]
-
-_BOUND_SLACK = 1e-6
-_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,8 @@ class ExternalExtension:
     ``f1`` maps the U' rows and ``f2`` the (normalized) V' rows into one
     space of dimension at most a + b + 1; paired rows share bitwise-equal
     images.  Distortions are measured against the Euclidean geometry of
-    each side; ``bound`` is the certified ceiling 9 * d_f + 2.
+    each side; ``bound`` is the certified ceiling 9 * d_f + 2.  ``audit``
+    holds the four "glue.*" entries certified before returning.
     """
 
     f1: PointCloud
@@ -84,6 +83,7 @@ class ExternalExtension:
     d_f: float
     bound: float
     embedding: UnionEmbedding
+    audit: tuple
 
     def as_dict(self):
         return {
@@ -204,11 +204,6 @@ def glued_metric(G: GlueInstance):
     return _build_glued(G)[:2]
 
 
-def _certify(name, witness, measured, bound):
-    if measured > bound:
-        raise CertificateViolation(name, witness, measured, bound)
-
-
 def external_extend(G: GlueInstance, tol: float = 1e-7) -> ExternalExtension:
     """Extend the pairing to all of U' and V' through one embedding.
 
@@ -230,24 +225,24 @@ def external_extend(G: GlueInstance, tol: float = 1e-7) -> ExternalExtension:
     f1 = PointCloud(emb.full.points[:nu].copy())
     f2 = PointCloud(emb.full.points[v_global].copy())
 
-    if not np.array_equal(f1.points[G.a_idx], f2.points[G.pairing]):
-        gap = np.abs(f1.points[G.a_idx] - f2.points[G.pairing]).max()
-        raise CertificateViolation("glue.compatibility", None, gap, 0.0)
-
     # f1's and f2's distances are rows of full's: re-index its matrix
     sq = emb.full.sq_dist
     rep1 = _distortion_report(X.dist[:nu, :nu], sq[:nu, :nu], P.idx_a)
-    bound = 9.0 * G.d_f + 2.0
-    _certify("glue.extension_bound_f1", rep1.expansion_pair,
-             rep1.distortion, bound + _BOUND_SLACK)
-
     rep2 = _distortion_report(vv_direct, sq[np.ix_(v_global, v_global)],
                               np.arange(G.v_points.m))
-    _certify("glue.f2_noncontracting", rep2.contraction_pair,
-             1.0 - 1.0 / rep2.contraction, _REL)
     d2 = rep2.expansion * max(rep2.contraction, 1.0)
-    _certify("glue.extension_bound_f2", rep2.expansion_pair, d2,
-             bound + _BOUND_SLACK)
+    bound = 9.0 * G.d_f + 2.0
+    audit = Collector()
+    audit.scalar("glue.compatibility", "upper", np.abs(
+        f1.points[G.a_idx] - f2.points[G.pairing]).max(), 0.0)
+    audit.scalar("glue.extension_bound_f1", "upper", rep1.distortion, bound,
+                 rep1.expansion_pair, allow=1e-6)
+    audit.scalar("glue.f2_noncontracting", "upper",
+                 1.0 - 1.0 / rep2.contraction, 0.0, rep2.contraction_pair,
+                 allow=1e-9)
+    audit.scalar("glue.extension_bound_f2", "upper", d2, bound,
+                 rep2.expansion_pair, allow=1e-6)
+    raise_failing(audit.entries)
 
     return ExternalExtension(
         f1=f1,
@@ -257,4 +252,5 @@ def external_extend(G: GlueInstance, tol: float = 1e-7) -> ExternalExtension:
         d_f=G.d_f,
         bound=bound,
         embedding=emb,
+        audit=tuple(audit.entries),
     )

@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audit import AuditEntry, Collector, raise_failing
 from .errors import (InputError, RangeViolation, RetryBudgetExceeded,
                      SingularPencil)
 from .linalg import sym_eigen
 from .metric import (FiniteMetricSpace, _cloud, _measured, _readonly,
-                     build_partition)
+                     build_partition, distortion_of)
 # no longer called here, but kept as a module attribute: the benchmark's
 # traced run wraps lower_bound.validate_metric by name (bench/spans.py)
 from .metric import validate_metric  # noqa: F401
@@ -31,7 +32,8 @@ from .seeds import stream
 
 __all__ = [
     "BipartiteSplit", "sample_split", "measure_delta", "build_123_metric",
-    "certified_lower_bound", "ratio_check", "choose_n_for_epsilon",
+    "certified_lower_bound", "ratio_check", "audit_image",
+    "choose_n_for_epsilon",
 ]
 
 _MAX_ATTEMPTS = 64
@@ -170,8 +172,30 @@ def certified_lower_bound(split: BipartiteSplit) -> float:
 
 
 def _ratio_window(delta_star):
-    """ratio_check's window (lo, hi); it allows 1e-9*hi of round-off beyond."""
+    """ratio_check's window (lo, hi)."""
     return (1.0 + delta_star) ** -2, (1.0 + delta_star) ** 2
+
+
+def _window_entries(split, images):
+    """ratio_check's entries, each class's ratio against lo and hi with
+    1e-9 * hi allowed; a failing one raises RangeViolation."""
+    images, n = _cloud(images), split.n
+    if images.m != 2 * n:
+        raise InputError(f"{images.m} image rows for {2 * n} vertices")
+    # copied contiguous: the means below sum in an order set by the layout
+    cross = np.ascontiguousarray(_measured(images).sq_dist[:n, n:])
+    mean_all = float(cross.mean())
+    if mean_all == 0.0:
+        raise InputError("all cross images coincide; ratios are undefined")
+    lo, hi = _ratio_window(split.delta_star)
+    audit = Collector()
+    for name, m in (("e1", split.mask), ("e2", ~split.mask)):
+        r = float(cross[m].mean()) / mean_all
+        audit.scalar(f"{name}.ratio_lower", "lower", r, lo, allow=1e-9 * hi)
+        audit.scalar(f"{name}.ratio_upper", "upper", r, hi, allow=1e-9 * hi)
+    raise_failing(audit.entries, lambda e: RangeViolation(
+        e.name.split(".")[0], e.measured, lo, hi))
+    return audit.entries
 
 
 def ratio_check(split: BipartiteSplit, images) -> tuple:
@@ -184,23 +208,20 @@ def ratio_check(split: BipartiteSplit, images) -> tuple:
     block is read from its squared distances: carried ones, else one
     kernel call measures the whole image.
     """
-    images, n = _cloud(images), split.n
-    if images.m != 2 * n:
-        raise InputError(f"{images.m} image rows for {2 * n} vertices")
-    # copied contiguous: the means below sum in an order set by the layout
-    cross = np.ascontiguousarray(_measured(images).sq_dist[:n, n:])
-    mean_all = float(cross.mean())
-    if mean_all == 0.0:
-        raise InputError("all cross images coincide; ratios are undefined")
-    lo, hi = _ratio_window(split.delta_star)
-    tol = 1e-9 * hi
-    out = []
-    for name, m in (("e1", split.mask), ("e2", ~split.mask)):
-        r = float(cross[m].mean()) / mean_all
-        if not (lo - tol <= r <= hi + tol):
-            raise RangeViolation(name, r, lo, hi)
-        out.append(r)
-    return tuple(out)
+    entries = _window_entries(split, images)
+    return entries[0].measured, entries[2].measured
+
+
+def audit_image(split: BipartiteSplit, X: FiniteMetricSpace,
+                images) -> list:
+    """Entries of one image of the split's 1/2/3 space ``X``: its
+    distortion is at least ``certified_lower_bound(split)`` (allowing 1e-9,
+    else CertificateViolation), then ratio_check's four window entries."""
+    entry = AuditEntry("mds_distortion_above_bound", "lower",
+                       distortion_of(X, images).distortion,
+                       certified_lower_bound(split), 1e-9, None)
+    raise_failing([entry])
+    return [entry] + _window_entries(split, images)
 
 
 def choose_n_for_epsilon(epsilon: float, seed: int) -> tuple:

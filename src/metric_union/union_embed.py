@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metric
+from .audit import Collector, raise_failing
 from .cover import _check_alpha, build_cover, f_lip_bound
 from .errors import AuditViolation, InputDistortionError, InputError
 from .kirszbraun import PartialMap, _check_tol, extend_sequential
@@ -49,14 +50,14 @@ from .metric import (DistortionReport, FiniteMetricSpace, PointCloud,
 from .metric import distortion_of  # noqa: F401
 
 __all__ = [
-    "EmbedParams", "AuditEntry", "UnionEmbedding", "select_alpha",
+    "EmbedParams", "UnionEmbedding", "select_alpha",
     "headline_bound", "embed_union",
 ]
 
 _ISO_ALPHA = 0.3114
 _GEN_ALPHA = 0.5
 _ISO_BOUND = 8.93
-_AUDIT_REL = 1e-6   # relative slack at which an audit entry counts as failed
+_AUDIT_REL = 1e-6   # an entry's allow, relative to max(|bound|, 1)
 _EQ_TOL = 1e-12     # equality tolerance for parameter comparisons
 
 
@@ -108,41 +109,6 @@ class EmbedParams:
 
 
 @dataclass(frozen=True)
-class AuditEntry:
-    """One measured inequality.
-
-    sense "upper" asserts measured <= bound, "lower" asserts
-    measured >= bound; ``witness`` is the extremal point pair (space
-    indices) or None for aggregate/arithmetic checks.
-    """
-
-    name: str
-    sense: str
-    measured: float
-    bound: float
-    witness: tuple | None
-
-    @property
-    def slack(self):
-        s = self.bound - self.measured
-        return s if self.sense == "upper" else -s
-
-    def ok(self):
-        return self.slack >= -_AUDIT_REL * max(abs(self.bound), 1.0)
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "sense": self.sense,
-            "measured": self.measured,
-            "bound": self.bound,
-            "slack": self.slack,
-            "witness": list(self.witness) if self.witness else None,
-            "ok": bool(self.ok()),
-        }
-
-
-@dataclass(frozen=True)
 class UnionEmbedding:
     """Full embedding with components, distortion report, and audit."""
 
@@ -170,16 +136,6 @@ class UnionEmbedding:
             "scale_a": self.scale_a,
             "scale_b": self.scale_b,
         }
-
-
-def _check_side(rep, side, lip):
-    """Verify a side's report: non-contracting, with Lipschitz <= lip."""
-    if rep.contraction > 1.0 + _AUDIT_REL:
-        raise InputDistortionError(side, rep.contraction, 1.0,
-                                   witness=rep.contraction_pair)
-    if rep.expansion > lip * (1.0 + _AUDIT_REL):
-        raise InputDistortionError(side, rep.expansion, lip,
-                                   witness=rep.expansion_pair)
 
 
 def _normalize_side(X, idx, cloud):
@@ -212,33 +168,6 @@ def _cross_pairs(ia, ib):
     gi, gj = np.meshgrid(ia, ib, indexing="ij")
     keep = gi.ravel() != gj.ravel()   # overlap points pair with themselves
     return gi.ravel()[keep], gj.ravel()[keep]
-
-
-class _Collector:
-    def __init__(self):
-        self.entries = []
-
-    def add(self, name, sense, vals, pairs, bound):
-        # the max ("upper") or min ("lower") of vals, with its pair
-        vals = np.asarray(vals, dtype=np.float64)
-        if vals.size:
-            k = int(np.argmax(vals) if sense == "upper" else np.argmin(vals))
-            self.scalar(name, sense, vals[k], bound,
-                        (int(pairs[0][k]), int(pairs[1][k])))
-
-    def scalar(self, name, sense, measured, bound, witness=None):
-        self.entries.append(AuditEntry(name=name, sense=sense,
-                                       measured=float(measured),
-                                       bound=float(bound), witness=witness))
-
-
-def _raise_if_failing(entries):
-    bad = [e for e in entries if not e.ok()]
-    if bad:
-        # surface a witnessed pairwise failure when one exists
-        e = next((x for x in bad if x.witness is not None), bad[0])
-        raise AuditViolation(e.name, e.witness, e.measured, e.bound,
-                             entries=entries)
 
 
 def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
@@ -294,7 +223,7 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
         sq[rest] = placed
         sq[:, rest] = placed.T
 
-    audit = _Collector()
+    audit = Collector(_AUDIT_REL)
     Dx = X.dist
     lf = f_lip_bound(params.alpha)
 
@@ -316,7 +245,8 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     audit.add(f"{name}.cross_lower", "lower", margin, px, 0.0)
     audit.scalar(f"{name}.g_lip", "upper", gmap.lip, lf * params.d_b)
 
-    _raise_if_failing(audit.entries)
+    raise_failing(audit.entries, lambda e: AuditViolation(
+        e.name, e.witness, e.measured, e.bound, entries=audit.entries))
     return _carrying(PointCloud(psi), sq), audit.entries
 
 
@@ -374,7 +304,7 @@ def _full_audit(X, P, params, full, report, phi_a, phi_b, psi_delta):
     and the normalized sides; the all-pairs entries are ``report``'s, with
     its witnesses."""
     ia, ib = P.idx_a, P.idx_b
-    audit = _Collector()
+    audit = Collector(_AUDIT_REL)
     Dx = X.dist
     sq = full.sq_dist
     sq_a, sq_b, sq_x = _sq_bounds(params)
@@ -457,8 +387,15 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
         d_a, d_b = max(rep_a.expansion, 1.0), max(rep_b.expansion, 1.0)
         alpha = select_alpha(d_a, d_b) if alpha is None else alpha
         params = EmbedParams.derive(alpha, d_a, d_b, tol)
-    _check_side(rep_a, "A", params.d_a)
-    _check_side(rep_b, "B", params.d_b)
+    # each side non-contracting, with expansion at most its constant
+    sides = Collector(_AUDIT_REL)
+    for side, rep, lip in (("A", rep_a, params.d_a), ("B", rep_b, params.d_b)):
+        sides.scalar(f"{side}.contraction", "upper", rep.contraction, 1.0,
+                     rep.contraction_pair)
+        sides.scalar(f"{side}.expansion", "upper", rep.expansion, lip,
+                     rep.expansion_pair)
+    raise_failing(sides.entries, lambda e: InputDistortionError(
+        e.name[0], e.measured, e.bound, witness=e.witness))
 
     psi_b, entries_b = build_psi(X, P, phi_a, phi_b, params, name="psi_b")
     psi_a, entries_a = build_psi(X, P.swapped(), phi_b, phi_a,
@@ -478,7 +415,8 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     report = _distortion_report(X.dist, full.sq_dist, np.arange(X.n))
     audit += _full_audit(X, P, params, full, report, phi_a, phi_b,
                          psi_delta)
-    _raise_if_failing(audit)
+    raise_failing(audit, lambda e: AuditViolation(
+        e.name, e.witness, e.measured, e.bound, entries=audit))
     return UnionEmbedding(psi_a=psi_a, psi_b=psi_b,
                           psi_delta=psi_delta, full=full, report=report,
                           audit=audit, params=params,

@@ -205,7 +205,8 @@ def test_lowerbound_seed_changes_split(capsys):
 def test_lowerbound_below_its_bound_exits_2(capsys, monkeypatch):
     # a best-effort embedding below the certified bound contradicts the
     # certificate: no report, exit 2 with the failed audit named
-    monkeypatch.setattr(cli, "certified_lower_bound", lambda split: 1e9)
+    monkeypatch.setattr(lower_bound, "certified_lower_bound",
+                        lambda split: 1e9)
     assert main(["lowerbound", "--n", "64", "--seed", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -314,7 +315,7 @@ def test_glue_builds_the_glued_space_once(tmp_path, capsys, monkeypatch):
         "f1": {"dim": ext.f1.dim, "points": ext.f1.points},
         "f2": {"dim": ext.f2.dim, "points": ext.f2.points},
         "distortions": ext.as_dict(),
-        "audit": [e.as_dict() for e in ext.embedding.audit],
+        "audit": [e.as_dict() for e in [*ext.embedding.audit, *ext.audit]],
     })
     calls = []
     validate = glue.validate_metric

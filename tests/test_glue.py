@@ -191,24 +191,16 @@ def _scan_f2(G, ext):
             d2, (int(iu[hi]), int(jv[hi])))
 
 
-@pytest.fixture()
-def certified(monkeypatch):
-    """(witness, measured) of each glue certificate checked in the test."""
-    checked = {}
-    certify = glue._certify
-
-    def record(name, witness, measured, bound):
-        checked[name] = (witness, measured)
-        return certify(name, witness, measured, bound)
-
-    monkeypatch.setattr(glue, "_certify", record)
-    return checked
+def _certified(ext):
+    """(witness, measured) of each glue certificate, by entry name."""
+    return {e.name: (e.witness, e.measured) for e in ext.audit}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4, 7])
-def test_f2_certificates_match_the_pairwise_scan(seed, certified):
+def test_f2_certificates_match_the_pairwise_scan(seed):
     G = sample_glue_instance(8, 6, 7, 2, 3, seed=seed, wobble=0.3)
     ext = external_extend(G)
+    certified = _certified(ext)
     shortfall, lo_pair, d2, hi_pair = _scan_f2(G, ext)
     assert ext.distortion_f2 == d2
     assert certified["glue.extension_bound_f2"] == (hi_pair, d2)
@@ -226,7 +218,7 @@ def _ulps(a, b):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4, 7])
-def test_f1_certificate_matches_measuring_f1(seed, certified):
+def test_f1_certificate_matches_measuring_f1(seed):
     # f1's report re-indexes full's matrix, a sum of its summands', so it
     # rounds within a few ulps of measuring f1 again; its witness may move
     # between pairs that tie within rounding, but attains the maximum
@@ -235,15 +227,15 @@ def test_f1_certificate_matches_measuring_f1(seed, certified):
     X, P = glued_metric(G)
     again = distortion_of(X, ext.f1.points, subset=P.idx_a)
     assert _ulps(ext.distortion_f1, again.distortion) <= 8
-    witness, measured = certified["glue.extension_bound_f1"]
+    witness, measured = _certified(ext)["glue.extension_bound_f1"]
     assert measured == ext.distortion_f1
     i, j = witness
     fresh = pairwise_distances(ext.f1.points[[i, j]])[0, 1] / X.dist[i, j]
     assert _ulps(fresh, again.expansion) <= 8
 
 
-def test_f2_certificates_with_one_v_row(certified):
+def test_f2_certificates_with_one_v_row():
     G = glue_instance([[0.0, 0.0], [5.0, 0.0]], [[7.0]], [1], [0], [0])
     ext = external_extend(G)
     assert ext.distortion_f2 == 1.0
-    assert certified["glue.extension_bound_f2"] == (None, 1.0)
+    assert _certified(ext)["glue.extension_bound_f2"] == (None, 1.0)
