@@ -12,14 +12,13 @@ entries of ``verify_cover``, which rechecks both properties, the map f and
 its Lipschitz constant against the 2(1 + 1/alpha) ceiling exhaustively.
 """
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .audit import Collector, raise_failing
 from .errors import InputError
-from .metric import FiniteMetricSpace, UnionPartition, _readonly
+from .metric import FiniteMetricSpace, UnionPartition, _readonly, _real
 
 __all__ = ["CoverResult", "build_cover", "verify_cover", "f_lip_bound"]
 
@@ -50,8 +49,7 @@ def f_lip_bound(alpha: float) -> float:
 def _check_alpha(alpha):
     """The one check of alpha: a real number (no bool) in (0, 1] whose
     bound 2(1 + 1/alpha) is finite, else InputError."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) \
-            or not 0.0 < alpha <= 1.0:   # also nan
+    if not 0.0 < _real(alpha, "alpha") <= 1.0:   # also nan
         raise InputError(f"alpha must lie in (0, 1], got {alpha!r}")
     if not np.isfinite(f_lip_bound(alpha)):
         raise InputError(f"alpha {alpha!r} is too small: its Lipschitz "

@@ -35,8 +35,9 @@ import numpy as np
 from .errors import InputError
 from .glue import GlueInstance, glue_instance
 from .linalg import PointCloud
-from .metric import (FiniteMetricSpace, UnionPartition, _min_plus,
-                     build_partition, pairwise_distances, validate_metric)
+from .metric import (FiniteMetricSpace, UnionPartition, _integral,
+                     _min_plus, build_partition, pairwise_distances,
+                     validate_metric)
 from .seeds import stream
 
 __all__ = ["Instance", "shortest_path_closure", "union_instance",
@@ -107,6 +108,9 @@ def union_instance(n_a, n_b, dim_a, dim_b, seed, overlap=0) -> Instance:
     product, with D_A and D_B the drawn side blocks and K the drawn
     weights from A to B, in which a shared point is a zero-cost crossing.
     """
+    n_a, n_b = _integral(n_a, "n_a"), _integral(n_b, "n_b")
+    dim_a, dim_b = _integral(dim_a, "dim_a"), _integral(dim_b, "dim_b")
+    overlap = _integral(overlap, "overlap")
     if n_a < 1 or n_b < 1:
         raise InputError("both sides need at least one point")
     if not (0 <= overlap <= min(n_a, n_b)):

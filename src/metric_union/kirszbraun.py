@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InconsistentDuplicate, InputError, SolverStall
-from .metric import PointCloud, _cloud, _measured
+from .metric import PointCloud, _cloud, _measured, _real
 
 __all__ = ["PartialMap", "extend_one_point", "extend_sequential"]
 
@@ -387,7 +387,7 @@ def _level_image(tgt, d, s):
 def _check_tol(tol):
     """A relative tolerance must be finite and >= 0: a NaN or infinite one
     would make every ``> lip * (1 + tol)`` gate pass."""
-    if not 0.0 <= tol < math.inf:
+    if not 0.0 <= _real(tol, "tol") < math.inf:
         raise InputError(f"tol must be a finite number >= 0, got {tol!r}")
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import (ConvergenceError, InputError, LengthMismatchError,
                      NotEuclidean, NotSymmetricError)
 from .metric import (FiniteMetricSpace, PointCloud, _carrying, _cloud,
-                     _measured, _readonly, pairwise_distances)
+                     _measured, _readonly, _real_array, pairwise_distances)
 
 __all__ = [
     "PointCloud", "SymEigen", "sym_eigen", "mds_isometric_embed",
@@ -34,16 +34,18 @@ class SymEigen:
 def sym_eigen(M) -> SymEigen:
     """Checked symmetric eigendecomposition.
 
-    Raises NotSymmetricError if max|M - M.T| exceeds 1e-12 * max|M|,
-    ConvergenceError if the backend fails or the residual checks
-    (reconstruction, orthonormality) do not hold.
+    ``M`` converts by ``_real_array``: what is not a square matrix of
+    finite real numbers raises InputError.  Raises NotSymmetricError if
+    max|M - M.T| exceeds 1e-12 * max|M|, ConvergenceError if the backend
+    fails or the residual checks (reconstruction, orthonormality) do not
+    hold; a NaN residual fails them.
     """
-    A = np.asarray(M, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    A = _real_array(M, 2, "matrix")
+    if A.shape[0] != A.shape[1]:
         raise InputError(f"matrix must be square, got shape {A.shape}")
     scale = float(np.abs(A).max()) if A.size else 0.0
     gap = float(np.abs(A - A.T).max()) if A.size else 0.0
-    if gap > _SYM_TOL * max(scale, 1e-300):
+    if not gap <= _SYM_TOL * max(scale, 1e-300):
         raise NotSymmetricError(gap)
     A = 0.5 * (A + A.T)
     try:
@@ -56,11 +58,11 @@ def sym_eigen(M) -> SymEigen:
 
     n = A.shape[0]
     resid = float(np.abs(A @ vecs - vecs * vals).max())
-    if resid > 1e-9 * max(scale, 1e-300) * n:
+    if not resid <= 1e-9 * max(scale, 1e-300) * n:
         raise ConvergenceError(
             f"reconstruction residual {resid:.3e} too large")
     ortho = float(np.abs(vecs.T @ vecs - np.eye(n)).max())
-    if ortho > 1e-10 * max(n, 1):
+    if not ortho <= 1e-10 * max(n, 1):
         raise ConvergenceError(f"orthonormality residual {ortho:.3e}")
     return SymEigen(values=_readonly(vals), vectors=_readonly(vecs))
 

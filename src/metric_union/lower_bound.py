@@ -14,7 +14,6 @@ a closed-form inverse square root, so one symmetric eigensolve of the
 e1 class gives the eigenvalues of both classes.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +22,8 @@ from .audit import AuditEntry, Collector, raise_failing
 from .errors import (InputError, RangeViolation, RetryBudgetExceeded,
                      SingularPencil)
 from .linalg import sym_eigen
-from .metric import (FiniteMetricSpace, _cloud, _measured, _readonly,
-                     build_partition, distortion_of)
+from .metric import (FiniteMetricSpace, _cloud, _integral, _measured, _real,
+                     _readonly, build_partition, distortion_of)
 # no longer called here, but kept as a module attribute: the benchmark's
 # traced run wraps lower_bound.validate_metric by name (bench/spans.py)
 from .metric import validate_metric  # noqa: F401
@@ -121,12 +120,10 @@ def sample_split(n: int, seed: int) -> BipartiteSplit:
     to 64 attempts.  Exhaustion is expected at n = 16, not a bug: the
     minimum delta over thousands of samples there is about 1.12.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Real) or n % 1:
-        raise InputError(f"n must be an integer, got {n!r}")   # also nan
-    n = int(n)   # 64.0 is 64, as an index 2.0 is 2
+    n = _integral(n, "n")   # 64.0 is 64, as an index 2.0 is 2
     if n < 4:
         raise InputError(f"need n >= 4, got {n}")
-    if int(n) ** 2 > np.iinfo(np.intp).max // 8:   # numpy refuses the draw
+    if n ** 2 > np.iinfo(np.intp).max // 8:   # numpy refuses the draw
         raise InputError(f"n = {n} is too large: an n x n draw has more "
                          "bytes than an array can hold")
     for attempt in range(_MAX_ATTEMPTS):
@@ -233,7 +230,8 @@ def choose_n_for_epsilon(epsilon: float, seed: int) -> tuple:
     need not draw and measure it again.  Doubles n from 16 up to 512;
     exceeding the cap raises RetryBudgetExceeded.
     """
-    if not (0.0 < epsilon < 1.0):
+    seed = _integral(seed, "seed")
+    if not (0.0 < _real(epsilon, "epsilon") < 1.0):
         raise InputError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     target = np.sqrt(3.0 / (3.0 - epsilon)) - 1.0
     n = 16

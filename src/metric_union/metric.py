@@ -6,11 +6,13 @@ partition marks two (possibly overlapping) index sets A and B that together
 cover the space, and precomputes R_a = d(a, B) and R_b = d(b, A), the
 distances from each point of one side to the other side.  Distance
 matrices, point sets (``PointCloud``) and index lists (``_index_list``)
-enter through one conversion, ``_real_array``.
+enter through one conversion, ``_real_array``, and scalar constants
+through ``_real`` and ``_integral``.
 """
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,19 +69,44 @@ def _real_array(value, ndim, what):
     return a
 
 
-def _index_list(idx, n, what):
-    """``idx`` as a 1-d intp array of distinct indices in [0, n), else
-    InputError: the one check of index lists.  Entries must have integral
-    values (2.0 is index 2), so 0.7, True and "0" are refused."""
+def _integral_values(idx, what):
+    """``idx`` as a 1-d float64 array of integral values (2.0 is index 2),
+    else InputError: 0.7, True and "0" are refused.  Range and repeats are
+    the caller's (``_index_list`` checks both)."""
     a = _real_array(idx, 1, what)
     if np.any(a != np.floor(a)):
         raise InputError(f"{what} has entries that are not integers")
+    return a
+
+
+def _index_list(idx, n, what):
+    """``idx`` as a 1-d intp array of distinct indices in [0, n), else
+    InputError: the one check of index lists, ``_integral_values`` and
+    then the range and repeats."""
+    a = _integral_values(idx, what)
     if a.size and (a.min() < 0 or a.max() >= n):
         raise InputError(f"{what} has entries outside [0, {n})")
     a = a.astype(np.intp)
     if np.unique(a).size != a.size:
         raise InputError(f"{what} lists an index more than once")
     return a
+
+
+def _real(x, what):
+    """``x`` when it is a real number (bool and str are not), else
+    InputError naming ``what``: the one check of scalar constants, whose
+    ranges are the caller's."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InputError(f"{what} must be a real number, got {x!r}")
+    return x
+
+
+def _integral(x, what):
+    """``x`` as an int when it is a real number with an integral value
+    (64.0 is 64), else InputError naming ``what``."""
+    if not _real(x, what) % 1 == 0:   # also nan and inf
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -106,8 +133,8 @@ class FiniteMetricSpace:
         return float(self.dist.max()) if self.n else 0.0
 
     def sub(self, idx):
-        """Distance submatrix over the given indices (copy)."""
-        idx = np.asarray(idx, dtype=np.intp)
+        """Distance submatrix over the given index list (copy)."""
+        idx = _index_list(idx, self.n, "idx")
         return self.dist[np.ix_(idx, idx)].copy()
 
 
@@ -150,8 +177,10 @@ class PointCloud:
         return self.points.shape[1]
 
     def take(self, idx):
-        """Sub-cloud at the given row indices (in the given order)."""
-        i, sq = np.asarray(idx, dtype=np.intp), self.sq_dist
+        """Sub-cloud at the given row indices, in the given order and
+        with repeats allowed; indices must be integral numbers."""
+        i = _integral_values(idx, "row indices").astype(np.intp)
+        sq = self.sq_dist
         return _carrying(PointCloud(self.points[i]),
                          None if sq is None else sq[np.ix_(i, i)])
 

@@ -11,6 +11,7 @@ import zlib
 import numpy as np
 
 from .errors import InputError
+from .metric import _integral
 
 __all__ = ["stream"]
 
@@ -24,9 +25,10 @@ def stream(seed: int, name: str, index: int = 0) -> np.random.Generator:
     """Return a fresh Generator for (seed, name, index).
 
     Same triple, same stream, regardless of how many other streams were
-    consumed before it.  A seed outside [0, 2**64) raises InputError.
+    consumed before it.  A seed that is not an integer in [0, 2**64)
+    (1.5 is not; 2.0 is 2) raises InputError.
     """
-    if not (0 <= int(seed) < 2 ** 64):
+    if not (0 <= _integral(seed, "seed") < 2 ** 64):
         raise InputError(f"seed must be an unsigned 64-bit integer, "
                          f"got {seed!r}")
     ss = np.random.SeedSequence((int(seed), _name_key(name), int(index)))

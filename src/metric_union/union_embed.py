@@ -44,7 +44,7 @@ from .kirszbraun import PartialMap, _check_tol, extend_sequential
 from .linalg import direct_sum
 from .metric import (DistortionReport, FiniteMetricSpace, PointCloud,
                      UnionPartition, _carrying, _cloud, _distortion_report,
-                     _measured)
+                     _measured, _real)
 # no longer called here, but kept as a module attribute: the benchmark's
 # traced run wraps union_embed.distortion_of by name (bench/spans.py)
 from .metric import distortion_of  # noqa: F401
@@ -63,7 +63,8 @@ _EQ_TOL = 1e-12     # equality tolerance for parameter comparisons
 
 def select_alpha(d_a: float, d_b: float) -> float:
     """Default cover parameter: 0.3114 for isometric sides, else 1/2."""
-    if d_a < 1.0 - _EQ_TOL or d_b < 1.0 - _EQ_TOL:
+    if not (_real(d_a, "d_a") >= 1.0 - _EQ_TOL
+            and _real(d_b, "d_b") >= 1.0 - _EQ_TOL):   # also nan
         raise InputError(f"side constants must be >= 1, got {d_a}, {d_b}")
     if abs(d_a - 1.0) <= _EQ_TOL and abs(d_b - 1.0) <= _EQ_TOL:
         return _ISO_ALPHA
@@ -86,7 +87,8 @@ class EmbedParams:
     @staticmethod
     def derive(alpha, d_a, d_b, tol=1e-7):
         _check_alpha(alpha)
-        if not (d_a >= 1.0 and d_b >= 1.0):   # also nan
+        if not (_real(d_a, "d_a") >= 1.0
+                and _real(d_b, "d_b") >= 1.0):   # also nan
             raise InputError(
                 f"side constants must be >= 1, got {d_a!r}, {d_b!r}")
         _check_tol(tol)

@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from metric_union import (EmbedParams, InputError, PartialMap, PointCloud,
-                          build_cover, build_partition, direct_sum,
-                          distortion_of, embed_union, extend_one_point,
-                          extend_sequential, glue_instance, ratio_check,
-                          sample_split, validate_metric)
+                          build_cover, build_partition, choose_n_for_epsilon,
+                          direct_sum, distortion_of, embed_union,
+                          extend_one_point, extend_sequential, glue_instance,
+                          ratio_check, sample_split, select_alpha, stream,
+                          sym_eigen, union_instance, validate_metric)
 from metric_union.cli import main
 from metric_union.linalg import _measured
 
@@ -156,6 +157,9 @@ _INDEX_CASES = {
         [[0.0], [1.0]], [[0.0], [1.0]], [0], [1], ["1"]),
     "subset fraction": lambda: distortion_of(X, [[0.0], [1.0]],
                                              subset=[0.7, 1]),
+    "sub fraction": lambda: X.sub([0.7, 1]),
+    "sub bool": lambda: X.sub([True, 2]),
+    "take fraction": lambda: PointCloud([[0.0], [1.0]]).take([0.7]),
 }
 
 
@@ -173,6 +177,13 @@ def test_index_look_alikes_still_work():
     # a one-point side embeds
     emb = embed_union(X, one, [[0.0], [1.0], [2.0]], [[0.0]])
     assert all(e.ok() for e in emb.audit) and emb.full.m == 3
+    # sub takes index lists, and take repeats rows too
+    for idx in (np.arange(2), [0.0, 1.0], np.array([0, 1], dtype=np.uint8)):
+        assert X.sub(idx).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    cloud = PointCloud([[0.0], [1.0]])
+    for idx in (np.arange(2)[::-1], [1.0, 1.0]):
+        assert cloud.take(idx).points.tolist() == \
+            [[float(i)] for i in np.asarray(idx, dtype=int)]
 
 
 @pytest.mark.parametrize("call", [
@@ -181,6 +192,15 @@ def test_index_look_alikes_still_work():
     lambda: build_cover(X, build_partition(X, [0, 1], [2]), None),
     lambda: sample_split(64.5, 0),
     lambda: sample_split("64", 0),
+    # each of these ended in a bare TypeError
+    lambda: EmbedParams.derive(0.5, "1", 1),
+    lambda: select_alpha("1", 1),
+    lambda: select_alpha(math.nan, 1),   # chose alpha 1/2
+    lambda: extend_one_point(M, [0.5], tol="1e-7"),
+    lambda: choose_n_for_epsilon("0.5", 0),
+    lambda: union_instance(10.5, 10, 2, 2, seed=0),
+    # and this drew what stream(1, "x") draws
+    lambda: stream(1.5, "x"),
 ])
 def test_scalar_constants_that_are_not_numbers_are_input_errors(call):
     with pytest.raises(InputError):
@@ -190,6 +210,22 @@ def test_scalar_constants_that_are_not_numbers_are_input_errors(call):
 def test_split_size_takes_an_integral_float():
     assert sample_split(64.0, 0).mask.tolist() == \
         sample_split(64, 0).mask.tolist()
+
+
+def test_integral_floats_are_integers():
+    assert stream(2.0, "x").random() == stream(2, "x").random()
+    a, b = union_instance(6.0, 5.0, 2.0, 2.0, seed=1.0), \
+        union_instance(6, 5, 2, 2, seed=1)
+    assert np.array_equal(a.space.dist, b.space.dist)
+
+
+# the eigensolver returned eigenvalues [nan, 1] for the first and parsed
+# the strings of the second
+@pytest.mark.parametrize("matrix", [[[math.nan, 0.0], [0.0, 1.0]],
+                                    [["1", "0"], ["0", "1"]]])
+def test_the_checked_eigensolver_takes_finite_real_matrices_only(matrix):
+    with pytest.raises(InputError):
+        sym_eigen(matrix)
 
 
 def test_split_image_measured_whole_equals_carried(split):
