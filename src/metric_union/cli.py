@@ -31,10 +31,10 @@ from .glue import external_extend
 from .linalg import mds_best_effort, mds_isometric_embed
 from .lower_bound import (audit_image, build_123_metric,
                           choose_n_for_epsilon, sample_split)
-from .metric import validate_metric
-# no longer called here, but kept as a module attribute: the benchmark's
-# traced run wraps cli.distortion_of by name (bench/spans.py)
-from .metric import distortion_of  # noqa: F401
+from .metric import _built_space
+# not called here, but kept as module attributes that the benchmark's
+# traced run wraps by name (bench/spans.py)
+from .metric import distortion_of, validate_metric  # noqa: F401
 from .union_embed import embed_union
 
 __all__ = ["main"]
@@ -128,10 +128,6 @@ def _write_report(obj, output):
         raise InputError(f"cannot write {output}: {exc}") from None
 
 
-def _side_space(X, idx):
-    return validate_metric(X.sub(idx))
-
-
 def cmd_check_metric(args):
     X = parse_space(load_json(args.input))
     return {"ok": True, "n": X.n, "labels": list(X.labels)}
@@ -150,10 +146,11 @@ def _load_space_partition(obj):
 def cmd_embed(args):
     obj = load_json(args.input)
     X, P = _load_space_partition(obj)
+    # a sub-matrix of a metric is a metric: a side takes no triangle scan
     phi_a = parse_cloud(obj["phi_a"], "phi_a") if "phi_a" in obj \
-        else mds_isometric_embed(_side_space(X, P.idx_a))
+        else mds_isometric_embed(_built_space(X.sub(P.idx_a)))
     phi_b = parse_cloud(obj["phi_b"], "phi_b") if "phi_b" in obj \
-        else mds_isometric_embed(_side_space(X, P.idx_b))
+        else mds_isometric_embed(_built_space(X.sub(P.idx_b)))
     alpha = args.alpha if args.alpha is not None else obj.get("alpha")
     emb = embed_union(X, P, phi_a, phi_b, tol=args.tol, alpha=alpha)
     full = emb.as_dict()

@@ -103,12 +103,14 @@ def verify_cover(X: FiniteMetricSpace, P: UnionPartition,
 
     lip(f) allows 1e-9 of its bound; the others compare exactly.  Raises
     CertificateViolation naming a failing entry; this signals a bug in the
-    construction, never a legitimate outcome.
+    construction, never a legitimate outcome.  A cover point outside side
+    A raises InputError before anything is measured.
     """
     ia, ib, R = P.idx_a, P.idx_b, P.r_a
     cov, near = C.cover_idx, C.nearest
-    pos_of = {int(v): k for k, v in enumerate(ia)}
-    Rc = R[np.asarray([pos_of[int(c)] for c in cov], dtype=np.intp)]
+    if not np.isin(cov, ia).all():
+        raise InputError("cover_idx lists points outside side A")
+    Rc = R[np.searchsorted(ia, cov)]   # ia is sorted
     audit = Collector()
 
     # (1): each a's least d(a, a') - alpha * R_a over the cover points a'

@@ -19,8 +19,8 @@ side B.  A path that leaves a side and comes back is never shorter than
 staying: out and back through shared points s, s' costs at least
 d(s, s'), a side distance, and any other excursion takes a cross weight,
 at least M, which no side distance exceeds.  So the side blocks stay as
-drawn, the cross block is two min-plus products, and ``validate_metric``
-certifies the result.  ``shortest_path_closure`` (Floyd–Warshall over
+drawn, the cross block is two min-plus products, and the result is a
+metric by construction.  ``shortest_path_closure`` (Floyd–Warshall over
 all points) stays as its test oracle: the two agree bit for bit on every
 recipe the package, its demos, tests and bench use.  They can differ by
 an ulp where Floyd–Warshall's sum along near-collinear side points
@@ -35,9 +35,12 @@ import numpy as np
 from .errors import InputError
 from .glue import GlueInstance, glue_instance
 from .linalg import PointCloud
-from .metric import (FiniteMetricSpace, UnionPartition, _integral,
-                     _min_plus, build_partition, pairwise_distances,
-                     validate_metric)
+from .metric import (FiniteMetricSpace, UnionPartition, _built_space,
+                     _integral, _min_plus, _real, build_partition,
+                     pairwise_distances)
+# no longer called here, but kept as a module attribute: the benchmark's
+# traced run wraps instances.validate_metric by name (bench/spans.py)
+from .metric import validate_metric  # noqa: F401
 from .seeds import stream
 
 __all__ = ["Instance", "shortest_path_closure", "union_instance",
@@ -107,6 +110,7 @@ def union_instance(n_a, n_b, dim_a, dim_b, seed, overlap=0) -> Instance:
     crossing (see the module docstring), (D_A ⊗ K) ⊗ D_B in the min-plus
     product, with D_A and D_B the drawn side blocks and K the drawn
     weights from A to B, in which a shared point is a zero-cost crossing.
+    A metric by construction, it takes the O(n^2) axiom checks only.
     """
     n_a, n_b = _integral(n_a, "n_a"), _integral(n_b, "n_b")
     dim_a, dim_b = _integral(dim_a, "dim_a"), _integral(dim_b, "dim_b")
@@ -123,7 +127,7 @@ def union_instance(n_a, n_b, dim_a, dim_b, seed, overlap=0) -> Instance:
                       w[idx_b, n_a:])
     w[o:n_a, n_a:] = cross
     w[n_a:, o:n_a] = cross.T
-    X = validate_metric(w)
+    X = _built_space(w)
     P = build_partition(X, idx_a, idx_b)
     return Instance(space=X, partition=P,
                     phi_a=PointCloud(pts_a), phi_b=PointCloud(pts_b))
@@ -136,7 +140,7 @@ def distort_sides(inst: Instance, d_a: float, d_b: float) -> Instance:
     with Lipschitz constant at most the factor, so they exercise the
     d > 1 paths without touching the metric itself.
     """
-    if d_a < 1.0 or d_b < 1.0:
+    if _real(d_a, "d_a") < 1.0 or _real(d_b, "d_b") < 1.0:
         raise InputError("distortion factors must be >= 1")
     pa = np.array(inst.phi_a.points)
     pa[:, 0] *= d_a
@@ -157,6 +161,11 @@ def sample_glue_instance(n_pairs, extra_u, extra_v, dim_a, dim_b, seed,
     Extra ambient points are drawn at the same scale and shuffled into
     both sides, exercising nontrivial index bookkeeping.
     """
+    n_pairs = _integral(n_pairs, "n_pairs")
+    extra_u = _integral(extra_u, "extra_u")
+    extra_v = _integral(extra_v, "extra_v")
+    dim_a, dim_b = _integral(dim_a, "dim_a"), _integral(dim_b, "dim_b")
+    wobble = _real(wobble, "wobble")
     if n_pairs < 1:
         raise InputError("need at least one matched pair")
     if extra_u < 0 or extra_v < 0:

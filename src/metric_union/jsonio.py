@@ -16,8 +16,8 @@ import numpy as np
 from .errors import InputError
 from .glue import GlueInstance, glue_instance
 from .metric import (FiniteMetricSpace, PointCloud, UnionPartition,
-                     _index_list, _real_array, build_partition,
-                     validate_metric)
+                     _index_list, _integral, _real_array,
+                     build_partition, validate_metric)
 
 __all__ = ["canonical_dumps", "to_jsonable", "load_json", "parse_space",
            "parse_partition", "parse_cloud", "parse_glue"]
@@ -110,16 +110,7 @@ def parse_space(obj) -> FiniteMetricSpace:
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dist.shape[0]:
             raise InputError("space.labels must list one label per point")
-        labels = tuple(labels)
     return validate_metric(dist, labels=labels)
-
-
-def _integer(value, where):
-    """A JSON number with an integral value (not a boolean) -> int."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or (isinstance(value, float) and not value.is_integer()):
-        raise InputError(f"{where} must be an integer, got {value!r}")
-    return int(value)
 
 
 def parse_partition(obj, X: FiniteMetricSpace) -> UnionPartition:
@@ -135,7 +126,7 @@ def parse_cloud(obj, where="points") -> PointCloud:
     pts = _real_array(_require(obj, "points", where), 2,
                       f"{where}.points")
     dim = obj.get("dim")
-    if dim is not None and _integer(dim, f"{where}.dim") != pts.shape[1]:
+    if dim is not None and _integral(dim, f"{where}.dim") != pts.shape[1]:
         raise InputError(
             f"{where}.dim = {dim} but points have {pts.shape[1]} columns")
     return PointCloud(pts)

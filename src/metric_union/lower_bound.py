@@ -22,8 +22,9 @@ from .audit import AuditEntry, Collector, raise_failing
 from .errors import (InputError, RangeViolation, RetryBudgetExceeded,
                      SingularPencil)
 from .linalg import sym_eigen
-from .metric import (FiniteMetricSpace, _cloud, _integral, _measured, _real,
-                     _readonly, build_partition, distortion_of)
+from .metric import (FiniteMetricSpace, _built_space, _cloud, _integral,
+                     _measured, _real, _readonly, build_partition,
+                     distortion_of)
 # no longer called here, but kept as a module attribute: the benchmark's
 # traced run wraps lower_bound.validate_metric by name (bench/spans.py)
 from .metric import validate_metric  # noqa: F401
@@ -143,10 +144,10 @@ def build_123_metric(split: BipartiteSplit):
 
     Distance 2 within each side, 1 across e1 edges, 3 across e2 edges.
     Returns (space, partition) with side A = [0, n), side B = [n, 2n).
-    Every mask gives a metric, so nothing is validated: a 3 lies only
-    across the sides, and any third point is on one of them, so one of
-    its two legs is a 2 and the other at least 1: 3 <= 2 + 1.  Every
-    other triangle has 2 <= 1 + 1.
+    Every mask gives a metric, so ``_built_space`` checks only the O(n^2)
+    axioms: a 3 lies only across the sides, and any third point is on one
+    of them, so one of its two legs is a 2 and the other at least 1:
+    3 <= 2 + 1.  Every other triangle has 2 <= 1 + 1.
     """
     n = split.n
     D = np.full((2 * n, 2 * n), 2.0)
@@ -154,10 +155,8 @@ def build_123_metric(split: BipartiteSplit):
     cross = np.where(split.mask, 1.0, 3.0)
     D[:n, n:] = cross
     D[n:, :n] = cross.T
-    D.setflags(write=False)
-    X = FiniteMetricSpace(dist=D, labels=tuple(range(2 * n)))
-    P = build_partition(X, np.arange(n), np.arange(n, 2 * n))
-    return X, P
+    X = _built_space(D)
+    return X, build_partition(X, np.arange(n), np.arange(n, 2 * n))
 
 
 def certified_lower_bound(split: BipartiteSplit) -> float:
@@ -214,6 +213,7 @@ def audit_image(split: BipartiteSplit, X: FiniteMetricSpace,
     """Entries of one image of the split's 1/2/3 space ``X``: its
     distortion is at least ``certified_lower_bound(split)`` (allowing 1e-9,
     else CertificateViolation), then ratio_check's four window entries."""
+    images = _measured(_cloud(images))
     entry = AuditEntry("mds_distortion_above_bound", "lower",
                        distortion_of(X, images).distortion,
                        certified_lower_bound(split), 1e-9, None)

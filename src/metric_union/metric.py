@@ -133,9 +133,9 @@ class FiniteMetricSpace:
         return float(self.dist.max()) if self.n else 0.0
 
     def sub(self, idx):
-        """Distance submatrix over the given index list (copy)."""
+        """Distance submatrix over the given index list (a fresh array)."""
         idx = _index_list(idx, self.n, "idx")
-        return self.dist[np.ix_(idx, idx)].copy()
+        return self.dist[np.ix_(idx, idx)]
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,8 @@ class DistortionReport:
 
 
 def validate_metric(dist, labels=None, tol=1e-12) -> FiniteMetricSpace:
-    """Check the metric axioms and return an immutable space.
+    """Check the metric axioms and return an immutable space: the one
+    intake of matrices from outside (``_built_space`` takes the library's).
 
     Parameters
     ----------
@@ -278,24 +279,6 @@ def validate_metric(dist, labels=None, tol=1e-12) -> FiniteMetricSpace:
     tol : float
         Relative slack for the triangle inequality; d(i,j) may exceed
         d(i,k) + d(k,j) by at most tol * max(dist).
-
-    The triangle check first screens the excess
-    e(i, j) = d(i, j) - min_k (d(i, k) + d(k, j)) of each unordered pair
-    once.  Rows are taken in equal blocks of 128 to 255 rows (one block
-    when n < 256); block [lo, hi) runs the min-plus kernel against
-    columns lo..n-1 only, its part of the upper triangle, and an entry
-    over the slack flags both its row and its column.  That is exact: on
-    a symmetric matrix e(i, j) = e(j, i) bit for bit, because
-    fl(a + b) = fl(b + a) and min is exact.  A matrix that is not
-    symmetric (an error already) screens its transpose too, whose upper
-    triangle holds the excesses below D's diagonal, and flags rows from
-    D's screen and columns from the transpose's, so every ordered pair is
-    still screened.  Each block holds a few (rows, n) arrays and a sum
-    tensor no larger than one of them, so memory beyond D grows as n, not
-    n * n.  Only the rows the screen flags are then scanned k by k for
-    witnesses.  The screen misses no violation, so the recorded
-    violations, their order and their count are those of a full scan,
-    and a valid metric is never scanned k by k.
 
     Raises
     ------
@@ -311,71 +294,91 @@ def validate_metric(dist, labels=None, tol=1e-12) -> FiniteMetricSpace:
     n = D.shape[0]
     if n == 0:
         raise InputError("empty distance matrix")
-    if labels is None:
-        labels = tuple(range(n))
-    else:
-        labels = tuple(labels)
-        if len(labels) != n:
-            raise InputError(f"{len(labels)} labels for {n} points")
+    labels = tuple(range(n)) if labels is None else tuple(labels)
+    if len(labels) != n:
+        raise InputError(f"{len(labels)} labels for {n} points")
+    found = _Found()
+    _check_triangles(D, _check_axioms(D, found), tol, found)
+    return found.space(_readonly(D), labels)
 
-    violations = []
+
+def _built_space(D, labels=None) -> FiniteMetricSpace:
+    """A space over ``D``, a fresh float64 matrix the library built and
+    whose triangle inequality its builder proves: only the finiteness and
+    ``_check_axioms`` run.  ``D`` is frozen in place, not copied."""
+    D, found = _real_array(D, 2, "distance matrix"), _Found()
+    _check_axioms(D, found)
+    D.setflags(write=False)
+    return found.space(D, range(D.shape[0]) if labels is None else labels)
+
+
+class _Found(list):
+    """Violations in the order found: the first ``_MAX_RECORDED`` kept,
+    and ``total`` counting all of them."""
     total = 0
 
-    def record(v):
-        nonlocal total
-        total += 1
-        if len(violations) < _MAX_RECORDED:
-            violations.append(v)
+    def add(self, v):
+        self.total += 1
+        if len(self) < _MAX_RECORDED:
+            self.append(v)
 
+    def space(self, D, labels):
+        """The space over read-only ``D``, else the first violation."""
+        if self:
+            self[0].violations, self[0].total = list(self), self.total
+            raise self[0]
+        return FiniteMetricSpace(dist=D, labels=tuple(labels))
+
+
+def _check_axioms(D, found) -> bool:
+    """Add the O(n^2) axioms' violations of square ``D`` to ``found``:
+    asymmetric pairs (i < j), negative entries, positive diagonal entries,
+    zeros off the diagonal (i < j).  Returns whether ``D`` is symmetric."""
     gap = D - D.T
-    symmetric = not np.any(gap != 0.0)
-    if not symmetric:
-        for i, j in np.argwhere(gap != 0.0):
-            if i < j:
-                record(AsymmetryError(int(i), int(j), float(abs(gap[i, j]))))
+    for i, j in np.argwhere(np.triu(gap, k=1)):
+        found.add(AsymmetryError(int(i), int(j), float(abs(gap[i, j]))))
+    for i, j in np.argwhere(D < 0.0):
+        found.add(NegativeDistanceError(int(i), int(j), float(D[i, j])))
+    for i in np.nonzero(np.diagonal(D) > 0.0)[0]:   # < 0 is recorded above
+        found.add(NonzeroDiagonal(int(i), float(D[i, i])))
+    for i, j in np.argwhere(np.triu(D == 0.0, k=1)):
+        found.add(ZeroOffDiagonal(int(i), int(j)))
+    return not np.any(gap)
 
-    neg = np.argwhere(D < 0.0)
-    for i, j in neg:
-        record(NegativeDistanceError(int(i), int(j), float(D[i, j])))
 
-    diag = np.diagonal(D)
-    for i in np.nonzero(diag != 0.0)[0]:
-        if diag[i] >= 0.0:  # negative diagonal already recorded above
-            record(NonzeroDiagonal(int(i), float(diag[i])))
-
-    off_zero = (D == 0.0) & ~np.eye(n, dtype=bool)
-    for i, j in np.argwhere(off_zero):
-        if i < j:
-            record(ZeroOffDiagonal(int(i), int(j)))
-
+def _check_triangles(D, symmetric, tol, found):
+    """Add the violations of d(i, j) <= d(i, k) + d(k, j) + tol * max|D|
+    to ``found``.  A screen first takes the excess
+    e(i, j) = d(i, j) - min_k (d(i, k) + d(k, j)) of each unordered pair
+    once: blocks of 128 to 255 rows (one block when n < 256) run the
+    min-plus kernel over their part of the upper triangle, and an entry
+    over the slack flags both its row and its column.  Rounding is
+    monotone and min exact, so e(i, j) is the largest excess over k, and
+    on a symmetric matrix e(i, j) = e(j, i) bit for bit, as
+    fl(a + b) = fl(b + a); an asymmetric one (an error already) screens
+    its transpose too, for the columns.  Memory beyond D grows as n, not
+    n * n.  Only flagged rows are then scanned k by k for witnesses,
+    stopping after the first k past ``_MAX_RECORDED`` in all; so a valid
+    metric is never scanned k by k, and the violations, their order and
+    their count are those of a full scan.
+    """
     slack_abs = tol * float(np.abs(D).max())
-    # Screen: max_k of the excess D[i, j] - (D[i, k] + D[k, j]) is
-    # D[i, j] - min_k (D[i, k] + D[k, j]), because rounding is monotone and
-    # min is exact, so a row with no flagged entry holds no violation.
     rows, cols = _upper_screen(D, slack_abs)
     if not symmetric:
         cols = _upper_screen(np.ascontiguousarray(D.T), slack_abs)[1]
     rows = np.nonzero(rows | cols)[0]
     if rows.size:
         Dr = D[rows]
-        for k in range(n):
+        for k in range(D.shape[0]):
             excess = Dr - (Dr[:, k:k + 1] + D[k:k + 1, :])
             bad = np.argwhere(excess > slack_abs)
             for r, j in bad:
                 i = rows[r]
                 if i != k and j != k and i != j:
-                    record(TriangleViolation(int(i), int(j), int(k),
-                                             float(excess[r, j])))
-            if total > _MAX_RECORDED:
+                    found.add(TriangleViolation(int(i), int(j), int(k),
+                                                float(excess[r, j])))
+            if found.total > _MAX_RECORDED:
                 break
-
-    if violations:
-        first = violations[0]
-        first.violations = violations
-        first.total = total
-        raise first
-
-    return FiniteMetricSpace(dist=_readonly(D), labels=labels)
 
 
 def build_partition(X: FiniteMetricSpace, idx_a, idx_b) -> UnionPartition:

@@ -199,11 +199,9 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     """
     ia, ib = P.idx_a, P.idx_b
     C = build_cover(X, P, params.alpha)
-    row_a = {int(s): k for k, s in enumerate(ia)}
-    row_b = {int(s): k for k, s in enumerate(ib)}
-
-    ca = np.array([row_a[int(c)] for c in C.cover_idx], dtype=np.intp)
-    nb = np.array([row_b[int(t)] for t in C.nearest], dtype=np.intp)
+    # side rows of space indices: both sides are sorted
+    ca = np.searchsorted(ia, C.cover_idx)
+    nb = np.searchsorted(ib, C.nearest)
     targets = phi_b.take(nb)
     gmap = PartialMap(sources=phi_a.take(ca), targets=targets)
 
@@ -213,7 +211,7 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     if rest.size:
         # plain rows: extend_sequential reads no matrix of its points
         psi[rest] = extend_sequential(
-            gmap, PointCloud(phi_a.points[[row_a[int(s)] for s in rest]]),
+            gmap, PointCloud(phi_a.points[np.searchsorted(ia, rest)]),
             params.tol).points
     psi[ib] = phi_b.points   # home side last: psi restricted to B is phi_b
     rows = np.zeros(X.n, dtype=np.intp)   # placed rows: measured below

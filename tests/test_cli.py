@@ -318,13 +318,13 @@ def test_glue_builds_the_glued_space_once(tmp_path, capsys, monkeypatch):
         "audit": [e.as_dict() for e in [*ext.embedding.audit, *ext.audit]],
     })
     calls = []
-    validate = glue.validate_metric
+    build = glue._built_space
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return validate(*args, **kwargs)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(glue, "validate_metric", counted)
+    monkeypatch.setattr(glue, "_built_space", counted)
     assert main(["glue", "--input", path]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out == expected

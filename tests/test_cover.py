@@ -117,3 +117,12 @@ def test_alpha_one_cover_is_sparsest():
     sizes = [build_cover(inst.space, inst.partition, a).cover_idx.size
              for a in (0.1, 0.5, 1.0)]
     assert sizes[0] >= sizes[1] >= sizes[2]
+
+
+@pytest.mark.parametrize("cover", [[17], [10], [0, 10], [-1]])
+def test_verify_cover_names_a_cover_point_outside_side_a(cover):
+    # a cover point outside side A ended in a bare KeyError
+    inst = union_instance(10, 8, 2, 2, seed=0)
+    with pytest.raises(InputError, match="outside side A"):
+        verify_cover(inst.space, inst.partition,
+                     CoverResult(0.5, cover, cover, 0.0, 6.0))

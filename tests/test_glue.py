@@ -6,9 +6,11 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import cdist
 
 import metric_union.glue as glue
-from metric_union import (InputError, distortion_of, external_extend,
-                          glue_instance, glued_metric, pairwise_distances,
-                          sample_glue_instance)
+from metric_union import (InputError, ZeroOffDiagonal, distortion_of,
+                          external_extend, glue_instance, glued_metric,
+                          metric, pairwise_distances, sample_glue_instance,
+                          stream, validate_metric)
+from metric_union.acceptance import _Context
 
 
 def _oracle_quotient(G):
@@ -239,3 +241,73 @@ def test_f2_certificates_with_one_v_row():
     ext = external_extend(G)
     assert ext.distortion_f2 == 1.0
     assert _certified(ext)["glue.extension_bound_f2"] == (None, 1.0)
+
+
+def _drawn_glue_instances():
+    """Every glue instance the glue and instance tests draw, selftest's 20
+    at seed 0 and the glue workload's 40 at seed 0 (its recipe in
+    bench/workloads.py)."""
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])
+    out = [glue_instance(pts, pts, [0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]),
+           glue_instance([[0.0], [1.0]], [[0.0], [1.0]], [0], [0], [0]),
+           glue_instance([[0.0], [1.0], [2.0]],
+                         [[0.0], [1.0], [4.0], [1.1], [3.9]],
+                         [0, 1, 2], [0, 1, 2], [0, 1, 2]),
+           glue_instance([[0.0, 0.0], [5.0, 0.0]], [[7.0], [9.0]],
+                         [1], [0], [0]),
+           glue_instance([[0.0, 0.0], [5.0, 0.0]], [[7.0]], [1], [0], [0])]
+    out += [sample_glue_instance(4, 5, 6, 2, 3, seed=s) for s in range(4)]
+    out += [sample_glue_instance(5, 4, 4, 2, 2, seed=s) for s in (0, 5)]
+    out += [sample_glue_instance(8, 6, 7, 2, 3, seed=s, wobble=0.3)
+            for s in (0, 1, 4, 7)]
+    out += [sample_glue_instance(4, 3, 3, 2, 2, seed=9),
+            sample_glue_instance(12, 10, 9, 2, 3, seed=4, wobble=0.2),
+            sample_glue_instance(40, 40, 40, 3, 4, seed=4, wobble=0.2),
+            sample_glue_instance(5, 7, 4, 2, 3, seed=6),
+            sample_glue_instance(6, 2, 2, 3, 5, seed=7, wobble=0.0)]
+    out += _Context(seed=0).glue
+    for k in range(40):
+        rng = stream(0, "bench.glue", k)
+        out.append(sample_glue_instance(
+            int(rng.integers(40, 121)), int(rng.integers(40, 121)),
+            int(rng.integers(40, 121)), int(rng.integers(2, 6)),
+            int(rng.integers(2, 6)), seed=k,
+            wobble=float(rng.uniform(0.0, 0.5))))
+    return out
+
+
+def test_glued_spaces_pass_full_validation(monkeypatch):
+    # the quotient is a metric by construction and is built without the
+    # triangle scan; the full validation finds nothing to refuse in it
+    screens = []
+    check = metric._check_triangles
+
+    def counted(D, *args):
+        screens.append(D.shape)
+        return check(D, *args)
+
+    monkeypatch.setattr(metric, "_check_triangles", counted)
+    drawn = _drawn_glue_instances()
+    assert len(drawn) == 80
+    for G in drawn:
+        X, _ = glued_metric(G)
+        assert not screens
+        assert not X.dist.flags.writeable
+        assert np.array_equal(X.dist, validate_metric(
+            np.array(X.dist), labels=X.labels).dist)
+        screens.clear()
+
+
+@pytest.mark.parametrize("u, v, witness", [
+    ([[0.0], [1.0], [2.0], [2.0]], [[0.0], [1.0]], (2, 3)),
+    ([[0.0], [1.0], [2.0]], [[0.0], [1.0], [3.0], [3.0]], (3, 4)),
+])
+def test_coinciding_points_still_refused(u, v, witness):
+    # the axiom checks still run on the quotient: an unmatched duplicate
+    # point is a zero off the diagonal, witnessed as before
+    G = glue_instance(u, v, [0, 1], [0, 1], [0, 1])
+    for build in (glued_metric, external_extend):
+        with pytest.raises(ZeroOffDiagonal) as err:
+            build(G)
+        assert (err.value.i, err.value.j) == witness
+        assert err.value.total == 1

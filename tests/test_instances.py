@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import floyd_warshall
 
-from metric_union import (InputError, distortion_of, distort_sides,
-                          pairwise_distances, sample_glue_instance,
-                          shortest_path_closure, stream, union_instance)
+from metric_union import (InputError, ZeroOffDiagonal, distortion_of,
+                          distort_sides, metric, pairwise_distances,
+                          sample_glue_instance, shortest_path_closure, stream,
+                          union_instance, validate_metric)
 from metric_union.instances import _drawn
 
 
@@ -68,6 +69,33 @@ def test_one_crossing_closure_equals_floyd_warshall():
         if not np.array_equal(X.dist, shortest_path_closure(w)):
             differ.append((n_a, n_b, dim_a, dim_b, seed, overlap))
     assert differ == []
+
+
+def test_union_instances_pass_full_validation(monkeypatch):
+    # the closure is a metric by construction and is built without the
+    # triangle scan; the full validation finds nothing to refuse in it
+    screens = []
+    check = metric._check_triangles
+
+    def counted(D, *args):
+        screens.append(D.shape)
+        return check(D, *args)
+
+    monkeypatch.setattr(metric, "_check_triangles", counted)
+    for n_a, n_b, dim_a, dim_b, seed, overlap in _recipes():
+        X = union_instance(n_a, n_b, dim_a, dim_b, seed=seed,
+                           overlap=overlap).space
+        assert not screens
+        assert not X.dist.flags.writeable
+        assert np.array_equal(X.dist, validate_metric(np.array(X.dist)).dist)
+        screens.clear()
+
+
+def test_coinciding_drawn_points_still_refused():
+    # zero-dimensional A points all coincide: the axiom checks still run
+    with pytest.raises(ZeroOffDiagonal) as err:
+        union_instance(5, 5, 0, 2, seed=0)
+    assert (err.value.i, err.value.j) == (0, 1)
 
 
 def test_one_crossing_closure_keeps_sides_as_drawn():

@@ -17,10 +17,11 @@ import pytest
 
 from metric_union import (EmbedParams, InputError, PartialMap, PointCloud,
                           build_cover, build_partition, choose_n_for_epsilon,
-                          direct_sum, distortion_of, embed_union,
-                          extend_one_point, extend_sequential, glue_instance,
-                          ratio_check, sample_split, select_alpha, stream,
-                          sym_eigen, union_instance, validate_metric)
+                          direct_sum, distort_sides, distortion_of,
+                          embed_union, extend_one_point, extend_sequential,
+                          glue_instance, ratio_check, sample_glue_instance,
+                          sample_split, select_alpha, stream, sym_eigen,
+                          union_instance, validate_metric)
 from metric_union.cli import main
 from metric_union.linalg import _measured
 
@@ -199,6 +200,12 @@ def test_index_look_alikes_still_work():
     lambda: extend_one_point(M, [0.5], tol="1e-7"),
     lambda: choose_n_for_epsilon("0.5", 0),
     lambda: union_instance(10.5, 10, 2, 2, seed=0),
+    # these ended in a bare TypeError, UFuncTypeError and TypeError
+    lambda: sample_glue_instance(8.5, 6, 7, 2, 3, seed=0),
+    lambda: sample_glue_instance(8, 6, 7, 2, 3, seed=0, wobble="0.3"),
+    lambda: distort_sides(union_instance(5, 5, 2, 2, seed=0), "2", 1),
+    lambda: distort_sides(union_instance(5, 5, 2, 2, seed=0), 1, None),
+    lambda: sample_glue_instance(8, 6, 7, "2", 3, seed=0),
     # and this drew what stream(1, "x") draws
     lambda: stream(1.5, "x"),
 ])
@@ -217,6 +224,10 @@ def test_integral_floats_are_integers():
     a, b = union_instance(6.0, 5.0, 2.0, 2.0, seed=1.0), \
         union_instance(6, 5, 2, 2, seed=1)
     assert np.array_equal(a.space.dist, b.space.dist)
+    g, h = sample_glue_instance(4.0, 3.0, 3.0, 2.0, 2.0, seed=9), \
+        sample_glue_instance(4, 3, 3, 2, 2, seed=9)
+    assert np.array_equal(g.u_points.points, h.u_points.points)
+    assert np.array_equal(g.v_points.points, h.v_points.points)
 
 
 # the eigensolver returned eigenvalues [nan, 1] for the first and parsed

@@ -139,6 +139,14 @@ def test_parse_cloud_rejects_non_integer_dim(dim):
         parse_cloud(obj)
 
 
+@pytest.mark.parametrize("dim, message", [
+    (2.7, "must be an integer"), ("x", "must be a real number"),
+    ([2], "must be a real number"), (True, "must be a real number")])
+def test_parse_cloud_dim_takes_the_scalar_check(dim, message):
+    with pytest.raises(InputError, match=f"points.dim {message}"):
+        parse_cloud({"dim": dim, "points": [[0, 0], [1, 1]]})
+
+
 def test_parse_cloud_accepts_integral_float_dim():
     assert parse_cloud({"dim": 2.0, "points": [[0, 0], [1, 1]]}).dim == 2
 

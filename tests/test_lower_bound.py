@@ -7,12 +7,13 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse import csr_matrix
 
 import metric_union.lower_bound as lower_bound
-from metric_union import (BipartiteSplit, InputError, RangeViolation,
-                          RetryBudgetExceeded, SingularPencil,
-                          build_123_metric, certified_lower_bound,
-                          choose_n_for_epsilon, distortion_of,
-                          mds_best_effort, measure_delta, ratio_check,
-                          sample_split, stream, validate_metric)
+from metric_union import (BipartiteSplit, InputError, PointCloud,
+                          RangeViolation, RetryBudgetExceeded, SingularPencil,
+                          audit_image, build_123_metric,
+                          certified_lower_bound, choose_n_for_epsilon,
+                          distortion_of, mds_best_effort, measure_delta,
+                          ratio_check, sample_split, stream, validate_metric)
+from metric_union.metric import _measured
 
 
 def _oracle_delta(L, L1, L2):
@@ -279,3 +280,19 @@ def test_split_deterministic():
     assert a.attempts == b.attempts
     c = sample_split(64, seed=10)
     assert not np.array_equal(a.mask, c.mask)
+
+
+def test_audit_image_measures_a_bare_image_once(kernel_calls):
+    # the distortion entry and the window entries read one measured cloud:
+    # a bare array was measured once for each
+    split = sample_split(64, seed=0)
+    X, _ = build_123_metric(split)
+    pts = mds_best_effort(X).points
+    kernel_calls.clear()
+    bare = audit_image(split, X, pts)
+    assert len(kernel_calls) == 1
+    cloud = _measured(PointCloud(pts))
+    kernel_calls.clear()
+    carried = audit_image(split, X, cloud)
+    assert kernel_calls == []
+    assert bare == carried and len(bare) == 5

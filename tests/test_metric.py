@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from metric_union import (AsymmetryError, CollapsedPairError, CoverageError,
                           EmptySideError, InputError, NegativeDistanceError,
                           NonzeroDiagonal, TriangleViolation, ZeroOffDiagonal,
-                          build_partition, distortion_of, stream,
-                          validate_metric)
+                          build_123_metric, build_partition, canonical_dumps,
+                          distortion_of, external_extend, metric,
+                          sample_glue_instance, sample_split, stream,
+                          to_jsonable, union_instance, validate_metric)
+from metric_union.cli import main
 from metric_union.metric import _MAX_RECORDED, _min_plus
 
 
@@ -245,6 +248,37 @@ def test_half_screen_matches_per_k_scan():
         assert _agrees_with_per_k_scan(D, tol) > 0
         D[j, i] = np.nextafter(D[j, i], -np.inf)         # one side only
         assert _agrees_with_per_k_scan(D, tol) > 0
+
+
+def test_only_outside_matrices_are_screened(monkeypatch, tmp_path, capsys):
+    # spaces the library builds, and sub-spaces of a validated space, are
+    # metrics by construction: only validate_metric runs the triangle scan
+    screens = []
+    check = metric._check_triangles
+
+    def counted(D, *args):
+        screens.append(D.shape[0])
+        return check(D, *args)
+
+    monkeypatch.setattr(metric, "_check_triangles", counted)
+    external_extend(sample_glue_instance(6, 5, 4, 2, 3, seed=1))
+    inst = union_instance(12, 10, 2, 3, seed=9, overlap=4)
+    build_123_metric(sample_split(64, 0))
+    assert screens == []
+    for D in (inst.space.dist, [[0, 1], [1, 0]]):
+        validate_metric(D)
+    assert screens == [18, 2]
+    # embed without side coordinates: the input's own scan, not the sides'
+    # (3 scans when each side was validated again)
+    path = tmp_path / "embed.json"
+    path.write_text(canonical_dumps(to_jsonable({
+        "space": {"dist": inst.space.dist},
+        "partition": {"a": inst.partition.idx_a,
+                      "b": inst.partition.idx_b}})))
+    screens.clear()
+    assert main(["embed", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert screens == [18]
 
 
 def test_partition_basics():
