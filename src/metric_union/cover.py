@@ -18,7 +18,8 @@ import numpy as np
 
 from .audit import Collector, raise_failing
 from .errors import InputError
-from .metric import FiniteMetricSpace, UnionPartition, _readonly, _real
+from .metric import (FiniteMetricSpace, UnionPartition, _index_list,
+                     _readonly, _real, _real_array)
 
 __all__ = ["CoverResult", "build_cover", "verify_cover", "f_lip_bound"]
 
@@ -103,13 +104,17 @@ def verify_cover(X: FiniteMetricSpace, P: UnionPartition,
 
     lip(f) allows 1e-9 of its bound; the others compare exactly.  Raises
     CertificateViolation naming a failing entry; this signals a bug in the
-    construction, never a legitimate outcome.  A cover point outside side
-    A raises InputError before anything is measured.
+    construction, never a legitimate outcome.  A bad index list or a cover
+    point outside side A raises InputError before anything is measured.
     """
     ia, ib, R = P.idx_a, P.idx_b, P.r_a
-    cov, near = C.cover_idx, C.nearest
+    cov = _real_array(C.cover_idx, 1, "cover_idx")
     if not np.isin(cov, ia).all():
         raise InputError("cover_idx lists points outside side A")
+    cov = _index_list(cov, X.n, "cover_idx")
+    near = _index_list(C.nearest, X.n, "nearest", distinct=False)
+    if near.size != cov.size:
+        raise InputError("nearest must hold one index per cover point")
     Rc = R[np.searchsorted(ia, cov)]   # ia is sorted
     audit = Collector()
 

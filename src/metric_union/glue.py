@@ -149,11 +149,10 @@ def _build_glued(G: GlueInstance):
     partition, U' and V' (in side-B row order) as measured private copies,
     V''s distances in its own row order, and each V' row's space index.
 
-    The cross block and the V' detours are min-plus products, taken by
-    ``metric._min_plus`` in blocks whose sum tensor is no larger than the
-    block it produces and at most 2**20 float64 elements, so no
-    (nu, nv, m) or (nv, nv, m) tensor is built.  Sums and minima are
-    exact, so the blocks do not depend on the blocking.  With the pairing
+    Only the V' rows no pairing merges are routed: the cross block and
+    their detours are three ``metric._min_plus`` products over them, and
+    ``vv_direct`` stays whole for f2's report.  Sums and minima are
+    exact, so each entry is what routing every row gives.  With the pairing
     non-contracting, these closed forms are the quotient's shortest-path
     metric (module docstring), so ``_built_space`` checks only the O(n^2)
     axioms; each entry, a kernel distance or the least of sums of at most
@@ -171,23 +170,21 @@ def _build_glued(G: GlueInstance):
     pos = np.argsort(b_rows)
     vv_direct = pairwise_distances(phi_b)[np.ix_(pos, pos)]
     ua = uu[:, G.a_idx]                 # (nu, m) walk to a pairing point
-    bp = vv_direct[:, G.pairing]        # (nv, m) walk to a partner image
+    bp = vv_direct[np.ix_(keep_v, G.pairing)]  # (nk, m) to a partner image
     aa = uu[np.ix_(G.a_idx, G.a_idx)]   # (m, m) walk between pairing points
 
     cross = _min_plus(ua, bp.T)
-    half = _min_plus(bp, aa)
-    routed = _min_plus(half, bp.T)
+    routed = _min_plus(_min_plus(bp, aa), bp.T)
     # the detour cost is symmetric, but its two summation orders round
     # differently; take the elementwise min so the matrix is exact
     routed = np.minimum(routed, routed.T)
-    vv = np.minimum(vv_direct, routed)
 
     n = nu + keep_v.size
     D = np.zeros((n, n))
     D[:nu, :nu] = uu
-    D[:nu, nu:] = cross[:, keep_v]
-    D[nu:, :nu] = cross[:, keep_v].T
-    D[nu:, nu:] = vv[np.ix_(keep_v, keep_v)]
+    D[:nu, nu:] = cross
+    D[nu:, :nu] = cross.T
+    D[nu:, nu:] = np.minimum(vv_direct[np.ix_(keep_v, keep_v)], routed)
     labels = tuple(("u", int(i)) for i in range(nu)) \
         + tuple(("v", int(j)) for j in keep_v)
     X = _built_space(D, labels)

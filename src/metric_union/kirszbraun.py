@@ -47,8 +47,8 @@ reads y alone, so it computes no weights.  Every accepted
 image is measured lam-Lipschitz against all earlier points, so by
 Kirszbraun's theorem the level-lam ball intersection stays non-empty at
 the next step.  Only a positive measure, which rounding at a tight level
-can leave, goes to the optimal solver with its certificate; the
-all-pairs gate at lip (1 + tol) on the final map is unchanged.
+can leave, goes to the optimal solver with its certificate; the final
+gate at lip (1 + tol) measures again only the pairs with a placed point.
 """
 
 import math
@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metric
 from .errors import InconsistentDuplicate, InputError, SolverStall
 from .metric import PointCloud, _cloud, _measured, _real
 
@@ -93,18 +94,26 @@ class PartialMap:
         return self.sources.m
 
 
-def _lip_from(S, T):
-    """Max ratio ||t_i - t_j|| / ||s_i - s_j|| over distinct sources,
-    from squared source and target distances ``S`` and ``T``; coinciding
-    sources with distinct targets raise InconsistentDuplicate."""
-    iu, ju = np.triu_indices(S.shape[0], k=1)
-    s, t = np.sqrt(S[iu, ju]), np.sqrt(T[iu, ju])
+def _lip_from(S, T, m0=0):
+    """Max ratio ||t_i - t_j|| / ||s_i - s_j|| over distinct sources j < i,
+    i >= m0, from squared distances ``S``, ``T`` of rows m0 on against all
+    rows; a coinciding pair with distinct targets: InconsistentDuplicate."""
+    r, j = np.tril_indices(S.shape[0], k=m0 - 1, m=S.shape[1])
+    s, t = np.sqrt(S[r, j]), np.sqrt(T[r, j])
     dup = s == 0.0
     if np.any(dup & (t > 0.0)):
         k = int(np.nonzero(dup & (t > 0.0))[0][0])
-        raise InconsistentDuplicate(int(iu[k]), int(ju[k]))
+        raise InconsistentDuplicate(int(j[k]), int(m0 + r[k]))
     live = ~dup
     return float((t[live] / s[live]).max()) if live.any() else 0.0
+
+
+def _placed_lip(src, tgt, m0):
+    """``_lip_from`` over the pairs with a placed row (m0 on), by one kernel
+    call each: placed against all rows, or the self call if they are most."""
+    return _lip_from(*(metric._squared_distances(z)[m0:] if 2 * m0 < len(z)
+                       else metric._squared_distances(z[m0:], z)
+                       for z in (src, tgt)), m0)
 
 
 def _ball_search(T, c):
@@ -428,8 +437,9 @@ def extend_sequential(M: PartialMap, xs: PointCloud, tol=1e-7) -> PointCloud:
     one fixed-level ball search finds, which reads y and no weights.
     Only a step that rounding leaves infeasible goes to the optimal
     solver, without a gate (such a step may legitimately sit a few ulp
-    above lip).  The final map on sources + xs is measured again as a
-    PartialMap and must stay within M.lip * (1 + tol), else SolverStall.
+    above lip).  Each pair with a placed point is measured again and must
+    stay within M.lip * (1 + tol), else SolverStall (a NaN image too);
+    the map's own pairs keep M.lip, as its clouds are never written.
     Returns the images of xs in row order.  A tol that is NaN, infinite
     or negative raises InputError.
     """
@@ -459,8 +469,8 @@ def extend_sequential(M: PartialMap, xs: PointCloud, tol=1e-7) -> PointCloud:
         src[m] = x
         tgt[m] = y
 
-    final_lip = PartialMap(PointCloud(src), PointCloud(tgt)).lip
-    if final_lip > M.lip * (1.0 + tol):
+    final_lip = _placed_lip(src, tgt, m0)
+    if not final_lip <= M.lip * (1.0 + tol):   # a NaN image fails too
         raise SolverStall(final_lip, M.lip * (1.0 + tol),
                           message="sequential extension exceeded tolerance")
     return PointCloud(tgt[m0:])

@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 _MAX_RECORDED = 10_000  # cap on stored violations for pathological inputs
-_BLOCK = 1 << 20        # float64 elements in one _min_plus sum block
 _TILE = 1 << 15         # float64 elements in one kernel tile (256 KB)
 # least rows per block of validate_metric's triangle screen: each block
 # costs one pass over k, so n < 256 takes one block; larger ones lose the
@@ -69,25 +68,17 @@ def _real_array(value, ndim, what):
     return a
 
 
-def _integral_values(idx, what):
-    """``idx`` as a 1-d float64 array of integral values (2.0 is index 2),
-    else InputError: 0.7, True and "0" are refused.  Range and repeats are
-    the caller's (``_index_list`` checks both)."""
+def _index_list(idx, n, what, distinct=True):
+    """``idx`` as a 1-d intp array of integral numbers in [0, n) (2.0 is
+    index 2; 0.7, True and "0" are refused), none repeated unless not
+    ``distinct``, else InputError: the one check of index lists."""
     a = _real_array(idx, 1, what)
     if np.any(a != np.floor(a)):
         raise InputError(f"{what} has entries that are not integers")
-    return a
-
-
-def _index_list(idx, n, what):
-    """``idx`` as a 1-d intp array of distinct indices in [0, n), else
-    InputError: the one check of index lists, ``_integral_values`` and
-    then the range and repeats."""
-    a = _integral_values(idx, what)
     if a.size and (a.min() < 0 or a.max() >= n):
         raise InputError(f"{what} has entries outside [0, {n})")
     a = a.astype(np.intp)
-    if np.unique(a).size != a.size:
+    if distinct and np.unique(a).size != a.size:
         raise InputError(f"{what} lists an index more than once")
     return a
 
@@ -178,8 +169,8 @@ class PointCloud:
 
     def take(self, idx):
         """Sub-cloud at the given row indices, in the given order and
-        with repeats allowed; indices must be integral numbers."""
-        i = _integral_values(idx, "row indices").astype(np.intp)
+        with repeats allowed (an index list, ``_index_list``)."""
+        i = _index_list(idx, self.m, "row indices", distinct=False)
         sq = self.sq_dist
         return _carrying(PointCloud(self.points[i]),
                          None if sq is None else sq[np.ix_(i, i)])
@@ -414,11 +405,12 @@ def _squared_distances(p, q=None):
     theirs, and with it the order in which ``einsum`` sums each entry.
     Tiles take isqrt(_TILE // dim) columns (all of q when fewer) and as
     many rows as fill ``_TILE`` float64 differences, or one row by one
-    column when that is more, so each difference tensor stays in cache.
-    A self call (``q`` None) takes square tiles, measures each band of
-    rows from its diagonal tile rightwards and mirrors the band into the
-    lower triangle: entry (j, i) is bit for bit entry (i, j), since
-    (a - b)**2 == (b - a)**2 and every entry is summed in the same order.
+    column when that is more (a narrower ``p`` fills it with columns),
+    so each difference tensor stays in cache.  A self call (``q`` None)
+    takes square tiles, measures each band of rows from its diagonal tile
+    rightwards and mirrors the band into the lower triangle: entry (j, i)
+    is bit for bit entry (i, j), since (a - b)**2 == (b - a)**2 and every
+    entry is summed in the same order.
     """
     p = np.ascontiguousarray(getattr(p, "points", p), dtype=np.float64)
     self_call = q is None
@@ -428,6 +420,8 @@ def _squared_distances(p, q=None):
     out = np.empty((n, m))   # allocated even when no tile runs
     cols = min(max(1, math.isqrt(_TILE // max(dim, 1))), max(m, 1))
     rows = cols if self_call else max(1, _TILE // (cols * max(dim, 1)))
+    if not self_call and 0 < n < rows:   # narrow p: one band of rows
+        cols = min(max(1, _TILE // (n * max(dim, 1))), max(m, 1))
     for lo in range(0, n, rows):
         hi = lo + rows
         for c in range(lo if self_call else 0, m, cols):
@@ -441,30 +435,24 @@ def _squared_distances(p, q=None):
 def _min_plus(a, b):
     """Min-plus product: ``out[i, j] = min_k (a[i, k] + b[k, j])``.
 
-    Rows of ``a`` and the shared index k are taken in blocks whose sum
-    tensor holds no more elements than the (len(a), b.shape[1]) result and
-    at most ``_BLOCK`` (8 MB), or one row of one k when that is larger, so
-    a small product allocates little and memory beyond the result does not
-    grow with the inputs.  Sums and minima are exact, so the result does
-    not depend on the blocking.  An empty shared index gives +inf (the
-    minimum over nothing) and no columns give an empty result.
+    Each band of rows is the running minimum over k of a[band, k] plus
+    b[k], summed into one scratch band of half the result, kept within a
+    quarter and all of ``_TILE``: with NumPy's iterator buffers (up to
+    128 KB per broadcast sum), memory beyond the result stays under
+    384 KB unless one row is longer.  Sums and minima are exact, so the
+    result does not depend on the banding.  An empty shared index gives
+    +inf (the minimum over nothing).
     """
-    cols = b.shape[1]
-    if cols == 0 or b.shape[0] == 0:
-        return np.full((a.shape[0], cols), np.inf)
-    budget = min(_BLOCK, a.shape[0] * cols)
-    ks = min(b.shape[0], max(1, budget // cols))
-    rows = max(1, budget // (ks * cols))
-    out = np.empty((a.shape[0], cols))
+    out = np.full((a.shape[0], b.shape[1]), np.inf)
+    budget = min(_TILE, max(_TILE // 4, out.size // 2))
+    rows = max(1, budget // max(b.shape[1], 1))
+    scratch = np.empty((min(rows, a.shape[0]), b.shape[1]))
     for lo in range(0, a.shape[0], rows):
-        block = out[lo:lo + rows]
-        for k in range(0, b.shape[0], ks):
-            s = a[lo:lo + rows, k:k + ks, None] + b[None, k:k + ks, :]
-            if k == 0:
-                s.min(axis=1, out=block)
-            else:
-                np.minimum(block, s.min(axis=1), out=block)
-            del s   # freed before the next block's sum is allocated
+        band = out[lo:lo + rows]
+        sums = scratch[:band.shape[0]]
+        for a_k, b_k in zip(a[lo:lo + rows].T[:, :, None], b):
+            np.add(a_k, b_k, out=sums)
+            np.minimum(band, sums, out=band)
     return out
 
 

@@ -126,3 +126,20 @@ def test_verify_cover_names_a_cover_point_outside_side_a(cover):
     with pytest.raises(InputError, match="outside side A"):
         verify_cover(inst.space, inst.partition,
                      CoverResult(0.5, cover, cover, 0.0, 6.0))
+
+
+def test_verify_cover_takes_index_lists():
+    # lists (and integral floats) give the entries arrays give; a bad
+    # nearest list is an InputError, not an AttributeError or IndexError
+    inst = union_instance(10, 8, 2, 2, seed=0)
+    X, P = inst.space, inst.partition
+    C = build_cover(X, P, 0.5)
+    entries = verify_cover(X, P, C)
+    for cov, near in ((C.cover_idx.tolist(), C.nearest.tolist()),
+                      (C.cover_idx.astype(float), list(C.nearest))):
+        got = verify_cover(X, P, CoverResult(0.5, cov, near, 0.0, 6.0))
+        assert [e.measured for e in got] == [e.measured for e in entries]
+    for near in ([99] * C.nearest.size, [-1] * C.nearest.size,
+                 C.nearest[:-1], C.nearest + 0.5):
+        with pytest.raises(InputError, match="nearest"):
+            verify_cover(X, P, CoverResult(0.5, C.cover_idx, near, 0.0, 6.0))

@@ -311,3 +311,57 @@ def test_coinciding_points_still_refused(u, v, witness):
             build(G)
         assert (err.value.i, err.value.j) == witness
         assert err.value.total == 1
+
+
+def _rowwise_min_plus(a, b):
+    """min_k (a[i, k] + b[k, j]), one row of a at a time."""
+    return np.array([(row[:, None] + b).min(axis=0) for row in a]
+                    ).reshape(a.shape[0], b.shape[1])
+
+
+def _all_rows_quotient(G):
+    """The quotient's matrix by routing every V' row, as it was built
+    before only the kept rows were: the kept rows are read out at the
+    end."""
+    nu = G.u_points.m
+    keep_v = np.setdiff1d(np.arange(G.v_points.m), G.pairing)
+    uu = pairwise_distances(G.u_points.points)
+    vv_direct = pairwise_distances(G.v_points.points)
+    ua = uu[:, G.a_idx]
+    bp = vv_direct[:, G.pairing]
+    aa = uu[np.ix_(G.a_idx, G.a_idx)]
+    cross = _rowwise_min_plus(ua, bp.T)
+    routed = _rowwise_min_plus(_rowwise_min_plus(bp, aa), bp.T)
+    vv = np.minimum(vv_direct, np.minimum(routed, routed.T))
+    D = np.zeros((nu + keep_v.size,) * 2)
+    D[:nu, :nu] = uu
+    D[:nu, nu:] = cross[:, keep_v]
+    D[nu:, :nu] = cross[:, keep_v].T
+    D[nu:, nu:] = vv[np.ix_(keep_v, keep_v)]
+    return D
+
+
+def test_kept_rows_quotient_is_the_all_rows_one():
+    for G in _drawn_glue_instances():
+        X = glue._build_glued(G)[0]
+        assert np.array_equal(X.dist, _all_rows_quotient(G))
+
+
+def test_quotient_routes_only_kept_v_rows(monkeypatch):
+    # each product's result has rows and columns for U' points, kept V'
+    # points and pairing points only, never for a merged V' row
+    shapes = []
+    kernel = glue._min_plus
+
+    def recorded(a, b):
+        shapes.append((a.shape[0], b.shape[1]))
+        return kernel(a, b)
+
+    monkeypatch.setattr(glue, "_min_plus", recorded)
+    for G in _drawn_glue_instances():
+        nu, m = G.u_points.m, G.n_pairs
+        kept = G.v_points.m - m
+        shapes.clear()
+        glue._build_glued(G)
+        assert sorted(shapes) == sorted([(nu, kept), (kept, m),
+                                         (kept, kept)])

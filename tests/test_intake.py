@@ -15,13 +15,14 @@ import math
 import numpy as np
 import pytest
 
-from metric_union import (EmbedParams, InputError, PartialMap, PointCloud,
-                          build_cover, build_partition, choose_n_for_epsilon,
-                          direct_sum, distort_sides, distortion_of,
-                          embed_union, extend_one_point, extend_sequential,
-                          glue_instance, ratio_check, sample_glue_instance,
-                          sample_split, select_alpha, stream, sym_eigen,
-                          union_instance, validate_metric)
+from metric_union import (CoverResult, EmbedParams, InputError, PartialMap,
+                          PointCloud, build_cover, build_partition,
+                          choose_n_for_epsilon, direct_sum, distort_sides,
+                          distortion_of, embed_union, extend_one_point,
+                          extend_sequential, glue_instance, ratio_check,
+                          sample_glue_instance, sample_split, select_alpha,
+                          stream, sym_eigen, union_instance, validate_metric,
+                          verify_cover)
 from metric_union.cli import main
 from metric_union.linalg import _measured
 
@@ -143,6 +144,11 @@ def test_distance_matrices_hold_real_numbers_only(bad):
         validate_metric(bad)
 
 
+def _verify_cover(cover_idx, nearest):
+    return verify_cover(X, build_partition(X, [0, 1], [2]),
+                        CoverResult(0.5, cover_idx, nearest, 0.0, 6.0))
+
+
 # (entry, a bad index list): each was certified, after truncating 0.7 to
 # 0, parsing "0", flattening [[0], [1]] or reading True as 1
 _INDEX_CASES = {
@@ -161,6 +167,14 @@ _INDEX_CASES = {
     "sub fraction": lambda: X.sub([0.7, 1]),
     "sub bool": lambda: X.sub([True, 2]),
     "take fraction": lambda: PointCloud([[0.0], [1.0]]).take([0.7]),
+    "take out of range": lambda: PointCloud([[0.0], [1.0]]).take([2]),
+    # verify_cover's lists ended in AttributeError or a bare IndexError
+    "cover_idx bool": lambda: _verify_cover([True], [2]),
+    "cover_idx repeated": lambda: _verify_cover([0, 0], [2, 2]),
+    "nearest fraction": lambda: _verify_cover([0], [1.5]),
+    "nearest out of range": lambda: _verify_cover([0], [99]),
+    "nearest string": lambda: _verify_cover([0], ["2"]),
+    "nearest too short": lambda: _verify_cover([0, 1], [2]),
 }
 
 

@@ -373,6 +373,43 @@ def test_zero_tolerance_stalls_cleanly():
     assert ei.value.objective >= ei.value.target
 
 
+@pytest.mark.parametrize("image", [10.0, float("nan")])
+def test_placed_image_past_the_level_stalls(monkeypatch, image):
+    # the final gate measures every pair with a placed point, so an image
+    # the placement step got wrong (or NaN) is refused, not returned
+    M = PartialMap(PointCloud([[0.0], [1.0]]), PointCloud([[0.0], [1.0]]))
+    monkeypatch.setattr(kirszbraun, "_level_image",
+                        lambda tgt, d, s: np.array([image]))
+    with pytest.raises(SolverStall) as ei:
+        extend_sequential(M, PointCloud([[0.5]]))
+    assert not ei.value.objective <= ei.value.target
+
+
+@pytest.mark.parametrize("m0,placed", [(1, 1), (1, 9), (4, 4), (12, 3),
+                                       (30, 2), (5, 40)])
+def test_placed_pairs_gate_is_the_all_pairs_constant(m0, placed):
+    # with the map's own pairs at M.lip, the gate's constant is bit for bit
+    # the one of measuring every pair of the final map again, whether the
+    # placed rows are measured by a cross call (few) or the self call
+    rng = stream(m0 * 100 + placed, "test.kirsz.placed_gate")
+    n = m0 + placed
+    src, tgt = rng.normal(size=(n, 3)), rng.normal(size=(n, 2))
+    M = PartialMap(PointCloud(src[:m0]), PointCloud(tgt[:m0]))
+    every = PartialMap(PointCloud(src), PointCloud(tgt)).lip
+    assert max(M.lip, kirszbraun._placed_lip(src, tgt, m0)) == every
+
+
+@pytest.mark.parametrize("m0", [1, 3])
+def test_placed_pairs_gate_names_an_inconsistent_duplicate(m0):
+    # row 3 coincides with row 1 and has another target; with m0 = 1 the
+    # placed rows are the most and the self call measures them
+    src = np.array([[0.0], [1.0], [2.0], [1.0]])
+    tgt = np.array([[0.0], [1.0], [2.0], [1.5]])
+    with pytest.raises(InconsistentDuplicate) as ei:
+        kirszbraun._placed_lip(src, tgt, m0)
+    assert (ei.value.i, ei.value.j) == (1, 3)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
 def test_malformed_tolerance_is_an_input_error(tol):
     # a NaN or infinite tol makes "final_lip > lip * (1 + tol)" False, so

@@ -17,7 +17,7 @@ from metric_union import (ConvergenceError, InputError, LengthMismatchError,
                           pairwise_distances, stream, sym_eigen,
                           validate_metric)
 from metric_union.linalg import _measured
-from metric_union.metric import (_BLOCK, _TILE, _min_plus,
+from metric_union.metric import (_TILE, _min_plus,
                                  _squared_distances)
 
 
@@ -152,10 +152,12 @@ def _one_shot(p, q):
 
 def _tiles(p, q=None):
     """(row tiles, column tiles) that the kernel takes for p against q."""
-    m, dim = (p if q is None else q).shape
+    (n, _), (m, dim) = p.shape, (p if q is None else q).shape
     cols = min(max(1, math.isqrt(_TILE // max(dim, 1))), max(m, 1))
     rows = cols if q is None else max(1, _TILE // (cols * max(dim, 1)))
-    return -(-p.shape[0] // rows), -(-m // cols)
+    if q is not None and 0 < n < rows:
+        cols = min(max(1, _TILE // (n * max(dim, 1))), max(m, 1))
+    return -(-n // rows), -(-m // cols)
 
 
 def test_pairwise_distances_independent_of_row_blocks():
@@ -233,6 +235,19 @@ def test_pairwise_distances_across_tiles():
         assert np.array_equal(R, _one_shot(p, q))
 
 
+def test_narrow_cross_calls_fill_the_tile_with_columns():
+    # p with fewer rows than one tile sizes its column tiles from the
+    # whole budget: 40 x 4 against 300 x 4 takes 2 column tiles, not 4
+    rng = stream(0, "test.pairwise_narrow")
+    assert _tiles(np.ones((40, 4)), np.ones((300, 4))) == (1, 2)
+    for n, m, dim in ((40, 300, 4), (5, 170, 3), (1, 900, 2), (3, 50, 267),
+                      (1, 7, 8000), (2, 2000, 1), (90, 400, 4)):
+        p, q = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+        R = pairwise_distances(p, q)
+        assert np.array_equal(R, _one_shot(p, q))
+        assert np.array_equal(R, pairwise_distances(np.vstack((p, q)))[:n, n:])
+
+
 @pytest.mark.parametrize("p_shape,q_shape", [
     ((0, 3), None), ((0, 3), (4, 3)), ((4, 3), (0, 3)), ((0, 0), None),
     ((5, 0), None), ((5, 0), (3, 0)), ((1, 4), None), ((1, 4), (1, 4)),
@@ -296,13 +311,10 @@ def _one_shot_min_plus(a, b):
     return (a[:, :, None] + b[None]).min(axis=1)
 
 
-def _min_plus_blocks(a, b):
-    """(row blocks, k blocks) that ``_min_plus`` takes for a @ b."""
-    cols = b.shape[1]
-    budget = min(_BLOCK, a.shape[0] * cols)
-    ks = min(b.shape[0], max(1, budget // cols))
-    rows = max(1, budget // (ks * cols))
-    return -(-a.shape[0] // rows), -(-b.shape[0] // ks)
+def _min_plus_bands(a, b):
+    """Row bands that ``_min_plus`` takes for a @ b."""
+    budget = min(_TILE, max(_TILE // 4, a.shape[0] * b.shape[1] // 2))
+    return -(-a.shape[0] // max(1, budget // max(b.shape[1], 1)))
 
 
 def test_min_plus_independent_of_blocks():
@@ -312,10 +324,9 @@ def test_min_plus_independent_of_blocks():
     tall = rng.normal(size=(1100, 3)), rng.normal(size=(3, 1000))
     wide = rng.normal(size=(3, 40)), rng.normal(size=(40, 30000))
     cases = [(sq, sq), (p, q.T), tall, wide]  # q.T: a transposed view
-    for a, b in cases:
-        assert _min_plus_blocks(a, b)[0] >= 3
-    assert tall[0].shape[0] * tall[1].shape[1] > _BLOCK  # capped by _BLOCK
-    assert _min_plus_blocks(*wide)[1] >= 3               # splits k too
+    bands = [_min_plus_bands(a, b) for a, b in cases]
+    assert min(bands) >= 2 and bands[2:] == [35, 3]   # tall and wide
+    assert 2 * wide[1].shape[1] > _TILE               # one row per band
     cases += [(rng.normal(size=(1, 1)), rng.normal(size=(1, 1))),
               (rng.normal(size=(5, 1)), rng.normal(size=(1, 7)))]
     for a, b in cases:
