@@ -11,8 +11,9 @@ non-contracting embedding with expansion at most 7*d_a*d_b + 2*(d_a + d_b)
 at alpha = 1/2, and below 8.93 for isometric sides at alpha = 0.3114.
 
 Every inequality the analysis relies on is re-measured on the produced
-coordinates and recorded as a named AuditEntry; any failing entry raises
-AuditViolation carrying the full entry list.
+coordinates, over three pair families (within A, within B, across) built
+once per embedding, and recorded as a named AuditEntry; any failing entry
+raises AuditViolation carrying the full entry list.
 
 ``embed_union`` measures each side's image distances at most once (not
 at all when the side cloud carries them, as the MDS results and the glued
@@ -161,19 +162,34 @@ def _normalize_side(X, idx, cloud):
     return side, rep, scale
 
 
-def _same_side_pairs(idx):
-    iu, ju = np.triu_indices(idx.size, k=1)
-    return idx[iu], idx[ju]
+def _pair_families(X, P):
+    """(fams, r): ``fams`` the (pairs, true distances) within A, within B
+    and across, pairs as two arrays of space indices, and ``r`` d(x, B)
+    on A and d(x, A) on B by space index (0 on the overlap).  Side pairs
+    run over i < j, cross pairs over A x B row-major without an overlap
+    point paired with itself: these orders choose each witness on a tie.
+    """
+    pairs = [(idx[i], idx[j]) for idx in (P.idx_a, P.idx_b)
+             for i, j in [np.triu_indices(idx.size, k=1)]]
+    i, j = np.nonzero(P.idx_a[:, None] != P.idx_b)   # row-major
+    pairs.append((P.idx_a[i], P.idx_b[j]))
+    r = np.zeros(X.n)
+    r[P.idx_a], r[P.idx_b] = P.r_a, P.r_b
+    return [(p, X.dist[p]) for p in pairs], r
 
 
-def _cross_pairs(ia, ib):
-    gi, gj = np.meshgrid(ia, ib, indexing="ij")
-    keep = gi.ravel() != gj.ravel()   # overlap points pair with themselves
-    return gi.ravel()[keep], gj.ravel()[keep]
+def _swapped(fams, P):
+    """``fams`` of the swapped partition, its cross pairs in B x A
+    row-major order taken from the A x B ones (X.dist is symmetric)."""
+    fam_a, fam_b, ((xa, xb), dx) = fams
+    keep = P.idx_a[:, None] != P.idx_b
+    # each cross pair's A x B position, read in B x A order
+    order = (np.cumsum(keep) - 1).reshape(keep.shape).T[keep.T]
+    return [fam_b, fam_a, ((xb[order], xa[order]), dx[order])]
 
 
 def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
-              params: EmbedParams, name: str):
+              params: EmbedParams, fams, r, name: str):
     """Map all points into the B-side coordinate space: (cloud, entries).
     ``embed_union``'s internal step, on sides it normalized and checked.
 
@@ -186,8 +202,9 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     matrices.  psi's squared matrix has one rule: rows copied from phi_b
     (B, and cover points through ``nb``) re-index phi_b's matrix, and only
     placed rows are measured, as one block against all of psi.  The
-    returned cloud carries that matrix, and the audit takes its distances
-    as roots of the entries it selects from it.
+    returned cloud carries that matrix; the audit roots the entries it
+    selects at the pairs of ``fams``, over their true distances, with
+    ``r`` (``_pair_families``, and ``_swapped`` for psi_a).
 
     Audited guarantees, with lf = 2(1 + 1/alpha):
       {name}.away_upper   A-pair image ratio   <= lf * d_a * d_b
@@ -224,24 +241,18 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
         sq[:, rest] = placed.T
 
     audit = Collector(_AUDIT_REL)
-    Dx = X.dist
     lf = f_lip_bound(params.alpha)
-
-    pa = _same_side_pairs(ia)
+    (pa, da), (pb, db), (px, dx) = fams
     audit.add(f"{name}.away_upper", "upper",
-              np.sqrt(sq[pa]) / Dx[pa], pa, lf * params.d_a * params.d_b)
-    pb = _same_side_pairs(ib)
-    ratio_b = np.sqrt(sq[pb]) / Dx[pb]
+              np.sqrt(sq[pa]) / da, pa, lf * params.d_a * params.d_b)
+    ratio_b = np.sqrt(sq[pb]) / db
     audit.add(f"{name}.home_lower", "lower", ratio_b, pb, 1.0)
     audit.add(f"{name}.home_upper", "upper", ratio_b, pb, params.d_b)
-    px = _cross_pairs(ia, ib)
     xi_home = (2.0 * (1.0 + params.alpha) * params.d_a * params.d_b
                + (2.0 + params.alpha) * params.d_b)
     img_x = np.sqrt(sq[px])
-    audit.add(f"{name}.cross_upper", "upper", img_x / Dx[px], px, xi_home)
-    r_of = np.zeros(X.n)
-    r_of[ia] = P.r_a
-    margin = (img_x - Dx[px] + params.beta * r_of[px[0]]) / Dx[px]
+    audit.add(f"{name}.cross_upper", "upper", img_x / dx, px, xi_home)
+    margin = (img_x - dx + params.beta * r[px[0]]) / dx
     audit.add(f"{name}.cross_lower", "lower", margin, px, 0.0)
     audit.scalar(f"{name}.g_lip", "upper", gmap.lip, lf * params.d_b)
 
@@ -298,24 +309,18 @@ def _claim_case_bound_sq(d, ra, rb, beta):
         default=delta_sq)
 
 
-def _full_audit(X, P, params, full, report, phi_a, phi_b, psi_delta):
-    """Entries of the direct sum, with image distances rooted from the
-    entries each check selects of the squared matrices carried by ``full``
-    and the normalized sides; the all-pairs entries are ``report``'s, with
-    its witnesses."""
-    ia, ib = P.idx_a, P.idx_b
+def _full_audit(fams, r, params, full, report, phi_a, phi_b, psi_delta):
+    """Entries of the direct sum over the pair families ``fams`` and ``r``,
+    with image distances rooted from the entries each check selects of
+    the squared matrices carried by ``full`` and the normalized sides; the
+    all-pairs entries are ``report``'s, with its witnesses."""
     audit = Collector(_AUDIT_REL)
-    Dx = X.dist
-    sq = full.sq_dist
     sq_a, sq_b, sq_x = _sq_bounds(params)
-
-    pa = _same_side_pairs(ia)
-    pb = _same_side_pairs(ib)
-    px = _cross_pairs(ia, ib)
-    img_a, img_b, img_x = (np.sqrt(sq[p]) for p in (pa, pb, px))
-    audit.add("full.side_a_sq", "upper", (img_a / Dx[pa]) ** 2, pa, sq_a)
-    audit.add("full.side_b_sq", "upper", (img_b / Dx[pb]) ** 2, pb, sq_b)
-    audit.add("full.cross_sq", "upper", (img_x / Dx[px]) ** 2, px, sq_x)
+    (pa, da), (pb, db), (px, dx) = fams
+    img_a, img_b, img_x = (np.sqrt(full.sq_dist[p]) for p in (pa, pb, px))
+    audit.add("full.side_a_sq", "upper", (img_a / da) ** 2, pa, sq_a)
+    audit.add("full.side_b_sq", "upper", (img_b / db) ** 2, pb, sq_b)
+    audit.add("full.cross_sq", "upper", (img_x / dx) ** 2, px, sq_x)
 
     head = headline_bound(params)
     if report.n_points > 1:   # a one-point space has no pair
@@ -327,37 +332,30 @@ def _full_audit(X, P, params, full, report, phi_a, phi_b, psi_delta):
                  math.sqrt(max(sq_a, sq_b, sq_x)), head)
 
     # the direct sum can only add to the per-side coordinate distances
-    ta = np.triu_indices(ia.size, k=1)
-    audit.add("full.dominates_phi_a", "lower",
-              img_a / np.sqrt(phi_a.sq_dist[ta]), pa, 1.0)
-    tb = np.triu_indices(ib.size, k=1)
-    audit.add("full.dominates_phi_b", "lower",
-              img_b / np.sqrt(phi_b.sq_dist[tb]), pb, 1.0)
+    for side, img, p, phi in (("a", img_a, pa, phi_a),
+                              ("b", img_b, pb, phi_b)):
+        audit.add(f"full.dominates_phi_{side}", "lower", img / np.sqrt(
+            phi.sq_dist[np.triu_indices(phi.m, k=1)]), p, 1.0)
 
     # one-coordinate part: Lipschitz gamma on each side, and across sides
     # exactly gamma_hat * (R_a + R_b) where gamma_hat re-derives gamma
     dd = psi_delta.points[:, 0]
-    audit.add("full.delta_lip_a", "upper",
-              np.abs(dd[pa[0]] - dd[pa[1]]) / Dx[pa], pa, params.gamma)
-    audit.add("full.delta_lip_b", "upper",
-              np.abs(dd[pb[0]] - dd[pb[1]]) / Dx[pb], pb, params.gamma)
+    for side, (p, d) in zip("ab", fams):
+        audit.add(f"full.delta_lip_{side}", "upper",
+                  np.abs(dd[p[0]] - dd[p[1]]) / d, p, params.gamma)
     gamma_hat = math.sqrt(0.5) * (1.0 + params.alpha) * (
         2.0 * params.d_a * params.d_b + 1.0)
-    r_of_a = np.zeros(X.n)
-    r_of_a[ia] = P.r_a
-    r_of_b = np.zeros(X.n)
-    r_of_b[ib] = P.r_b
-    expect = gamma_hat * (r_of_a[px[0]] + r_of_b[px[1]])
+    ra, rb = r[px[0]], r[px[1]]
+    expect = gamma_hat * (ra + rb)
     got = np.abs(dd[px[0]] - dd[px[1]])
     dev = np.abs(got - expect) / np.maximum(expect, 1e-300)
     audit.add("full.delta_cross_exact", "upper", dev, px, 0.0)
 
     # case analysis behind non-contraction, re-evaluated per cross pair
-    case_sq = _claim_case_bound_sq(Dx[px], r_of_a[px[0]], r_of_b[px[1]],
-                                   params.beta)
+    case_sq = _claim_case_bound_sq(dx, ra, rb, params.beta)
     audit.add("full.claim_case_bound", "lower",
-              (img_x ** 2 - case_sq) / Dx[px] ** 2, px, 0.0)
-    audit.add("full.claim_dominates", "lower", case_sq / Dx[px] ** 2, px, 1.0)
+              (img_x ** 2 - case_sq) / dx ** 2, px, 0.0)
+    audit.add("full.claim_dominates", "lower", case_sq / dx ** 2, px, 1.0)
     return audit.entries
 
 
@@ -397,15 +395,16 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     raise_failing(sides.entries, lambda e: InputDistortionError(
         e.name[0], e.measured, e.bound, witness=e.witness))
 
-    psi_b, entries_b = build_psi(X, P, phi_a, phi_b, params, name="psi_b")
+    fams, r = _pair_families(X, P)
+    psi_b, entries_b = build_psi(X, P, phi_a, phi_b, params, fams, r,
+                                 name="psi_b")
     psi_a, entries_a = build_psi(X, P.swapped(), phi_b, phi_a,
-                                 params.swapped(), name="psi_a")
+                                 params.swapped(), _swapped(fams, P), r,
+                                 name="psi_a")
 
-    delta = np.zeros((X.n, 1))
-    delta[P.idx_a, 0] = params.gamma * P.r_a
-    delta[P.idx_b, 0] = -(params.gamma * P.r_b)
-    delta += 0.0   # normalize -0.0 on overlap points
-    psi_delta = _measured(PointCloud(delta))
+    delta = params.gamma * r
+    delta[P.idx_b] = 0.0 - delta[P.idx_b]   # 0.0, not -0.0, on the overlap
+    psi_delta = _measured(PointCloud(delta[:, None]))
 
     full = direct_sum([psi_a, psi_b, psi_delta])
     # only full keeps an n x n matrix: the summands' are dropped here
@@ -413,7 +412,7 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
                                (psi_a, psi_b, psi_delta))
     audit = entries_a + entries_b
     report = _distortion_report(X.dist, full.sq_dist, np.arange(X.n))
-    audit += _full_audit(X, P, params, full, report, phi_a, phi_b,
+    audit += _full_audit(fams, r, params, full, report, phi_a, phi_b,
                          psi_delta)
     raise_failing(audit, lambda e: AuditViolation(
         e.name, e.witness, e.measured, e.bound, entries=audit))

@@ -19,7 +19,8 @@ from metric_union import (AuditViolation, EmbedParams, InputDistortionError,
 from metric_union import metric, union_embed
 from metric_union.acceptance import _Context
 from metric_union.linalg import _measured
-from metric_union.union_embed import _normalize_side, build_psi
+from metric_union.union_embed import (_normalize_side, _pair_families,
+                                      _swapped, build_psi)
 
 PSI_ITEMS = ("away_upper", "home_lower", "home_upper", "cross_upper",
              "cross_lower", "g_lip")
@@ -273,6 +274,39 @@ def test_embed_union_reaches_build_psi_by_module_attribute(monkeypatch,
     assert names == ["psi_b", "psi_a"]
 
 
+def test_embed_union_builds_the_pair_families_once(monkeypatch, small,
+                                                   split_123):
+    # psi_b, psi_a and the direct-sum audit read one set of pair families
+    calls = []
+    build = union_embed._pair_families
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(union_embed, "_pair_families", counted)
+    inst = union_instance(20, 15, 2, 3, seed=4, overlap=3)
+    for X, P, phi_a, phi_b in ((small.space, small.partition, small.phi_a,
+                                small.phi_b), split_123,
+                               (inst.space, inst.partition, inst.phi_a,
+                                inst.phi_b)):
+        calls.clear()
+        embed_union(X, P, phi_a, phi_b)
+        assert len(calls) == 1
+    # psi_a reads the cross pairs in B x A row-major order, as a mesh over
+    # (B, A) lists them, without an overlap point paired with itself
+    P = inst.partition
+    fams, r = build(inst.space, P)
+    (xb, xa), dx = _swapped(fams, P)[2]
+    gb, ga = (g.ravel() for g in np.meshgrid(P.idx_b, P.idx_a,
+                                              indexing="ij"))
+    keep = gb != ga
+    assert P.overlap.size == 3 and keep.sum() == xb.size
+    assert np.array_equal(xb, gb[keep]) and np.array_equal(xa, ga[keep])
+    assert np.array_equal(dx, inst.space.dist[xb, xa])
+    assert np.array_equal(r[xb], np.repeat(P.r_b, P.idx_a.size)[keep])
+
+
 def _ulps_close(a, b, ulps=8):
     """Within ``ulps`` units of relative rounding of each other."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
@@ -292,7 +326,8 @@ def test_carried_matrix_is_the_kernel_output(split_123, small):
     Y, Q = inst.space, inst.partition
     psi, _ = build_psi(Y, Q, _normalize_side(Y, Q.idx_a, inst.phi_a)[0],
                        _normalize_side(Y, Q.idx_b, inst.phi_b)[0],
-                       EmbedParams.derive(0.5, 1.0, 1.0), "psi")
+                       EmbedParams.derive(0.5, 1.0, 1.0),
+                       *_pair_families(Y, Q), "psi")
     assert np.setdiff1d(Q.idx_a, build_cover(Y, Q, 0.5).cover_idx).size
     # measured clouds carry the kernel's output bit for bit
     for cloud in (phi_a, kept, psi):
@@ -304,9 +339,10 @@ def test_carried_matrix_is_the_kernel_output(split_123, small):
     # matrix, bit for bit, within 8 ulps of the kernel's output
     assert np.array_equal(side.sq_dist, scale * scale * phi_a.sq_dist)
     side_b = _normalize_side(X, P.idx_b, phi_b)[0]
-    psi_b, _ = build_psi(X, P, side, side_b, emb.params, "psi_b")
+    fams, r = _pair_families(X, P)
+    psi_b, _ = build_psi(X, P, side, side_b, emb.params, fams, r, "psi_b")
     psi_a, _ = build_psi(X, P.swapped(), side_b, side, emb.params.swapped(),
-                         "psi_a")
+                         _swapped(fams, P), r, "psi_a")
     np.testing.assert_array_equal(
         emb.full.points, np.hstack([psi_a.points, psi_b.points,
                                     emb.psi_delta.points]))
@@ -448,7 +484,8 @@ def test_build_psi_side_dist_parity(split_123):
         ia, ib = P.idx_a, P.idx_b
         side_a, side_b = (_measured(PointCloud(getattr(c, "points", c)))
                           for c in (phi_a, phi_b))
-        psi, entries = build_psi(X, P, side_a, side_b, params, "psi")
+        psi, entries = build_psi(X, P, side_a, side_b, params,
+                                 *_pair_families(X, P), "psi")
         by_name = {e.name: e for e in entries}
         # re-indexed matrices give what measuring the clouds again gives
         C = build_cover(X, P, params.alpha)
