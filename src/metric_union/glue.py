@@ -106,7 +106,8 @@ def glue_instance(u_points, v_points, a_idx, b_idx, pairing) -> GlueInstance:
 
     ``a_idx`` (into U'), ``b_idx`` and ``pairing`` (into V') are nonempty
     index lists of equal length; a bad list or point set raises
-    InputError.  The stored clouds carry no squared distances.
+    InputError, as do matched points whose distances overflow, named by
+    their side.  The stored clouds carry no squared distances.
     """
     U, V = _cloud(u_points), _cloud(v_points)
     a_idx = _index_list(a_idx, U.m, "a_idx")
@@ -123,9 +124,11 @@ def glue_instance(u_points, v_points, a_idx, b_idx, pairing) -> GlueInstance:
         dv = pairwise_distances(V.points[pair])
         iu, jv = np.triu_indices(a_idx.size, k=1)
         du, dv = du[iu, jv], dv[iu, jv]
-        if (du <= 0.0).any() or (dv <= 0.0).any():
-            raise InputError("matched points must be pairwise distinct "
-                             "on both sides")
+        for what, d in (("u_points", du), ("v_points", dv)):
+            if not d.max() < np.inf:
+                raise InputError(f"{what}: matched points' distances overflow")
+            if not d.min() > 0.0:
+                raise InputError(f"{what}: matched points must be distinct")
         lip = float((dv / du).max())
         contraction = float((du / dv).max())
     else:
@@ -157,6 +160,8 @@ def _build_glued(G: GlueInstance):
     metric (module docstring), so ``_built_space`` checks only the O(n^2)
     axioms; each entry, a kernel distance or the least of sums of at most
     three, is a few ulps from exact, far inside the triangle scan's slack.
+    A U' or V' whose squared distances overflow raises InputError naming
+    its field.
     """
     nu = G.u_points.m
     keep_v = np.setdiff1d(np.arange(G.v_points.m), G.pairing)
@@ -166,6 +171,9 @@ def _build_glued(G: GlueInstance):
     b_rows = np.argsort(v_global)       # V' rows in side-B order
     phi_a = _measured(G.u_points)
     phi_b = _measured(G.v_points.take(b_rows))
+    for what, side in (("u_points", phi_a), ("v_points", phi_b)):
+        if not side.sq_dist.max() < np.inf:
+            raise InputError(f"{what}: squared distances overflow")
     uu = pairwise_distances(phi_a)
     pos = np.argsort(b_rows)
     vv_direct = pairwise_distances(phi_b)[np.ix_(pos, pos)]

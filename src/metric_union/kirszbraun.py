@@ -350,9 +350,12 @@ def _snap(tgt, d):
     """Recorded target when x coincides with a source, else None.
 
     Coincidence is exact or within 1e-12 of the source scale; coinciding
-    sources with different targets raise InconsistentDuplicate.
+    sources with different targets raise InconsistentDuplicate.  A point
+    whose squared distances overflow (d = inf) raises InputError.
     """
     dmax = float(d.max())
+    if not dmax < math.inf:
+        raise InputError("a point's distance to the sources overflows")
     if dmax == 0.0:
         return tgt[0].copy()
     snap = d <= 1e-12 * dmax
@@ -369,7 +372,7 @@ def _certified_solve(tgt, d):
     """The optimal image and its objective, (y, F); a failed first-order
     certificate raises SolverStall, since the solve cannot be trusted."""
     y, F, cert = _solve_extension(tgt, d)
-    if cert > _CERT_TOL:
+    if not cert <= _CERT_TOL:   # a NaN fails too
         raise SolverStall(
             F, F, message=f"first-order certificate failed: "
                           f"||combination|| = {cert:.3e}")
@@ -400,30 +403,42 @@ def _check_tol(tol):
         raise InputError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
+def _intake(M, xs, tol):
+    """(xs as a cloud, the gate lip * (1 + tol)); InputError for a bad tol,
+    an empty map, points of another dimension, and a map constant or a
+    squared gate that overflows (``_snap`` refuses a point's distances)."""
+    _check_tol(tol)
+    if M.m == 0:
+        raise InputError("cannot extend an empty partial map")
+    xs = _cloud(xs)
+    if xs.m and xs.dim != M.sources.dim:
+        raise InputError(
+            f"points have dim {xs.dim}, sources have dim {M.sources.dim}")
+    if not math.isfinite(M.lip):
+        raise InputError(f"the map's Lipschitz constant overflows: {M.lip}")
+    gate = M.lip * (1.0 + tol)
+    if not gate * gate < math.inf:
+        raise InputError(f"the squared level overflows: lip = {M.lip!r}")
+    return xs, gate
+
+
 def extend_one_point(M: PartialMap, x, tol=1e-7) -> np.ndarray:
     """Image for a new source ``x`` keeping the map within lip(1 + tol).
 
     Exact duplicates of existing sources (and near-duplicates, within
     1e-12 of the source scale) short-circuit to the recorded target.
     Raises SolverStall when the optimized objective exceeds
-    lip * (1 + tol), and on a failed first-order certificate.  A tol that
-    is NaN, infinite or negative raises InputError.
+    lip * (1 + tol) (a NaN one too), and on a failed first-order
+    certificate.  What ``_intake`` refuses raises InputError.
     """
-    _check_tol(tol)
-    if M.m == 0:
-        raise InputError("cannot extend an empty partial map")
-    x = PointCloud([x]).points[0]
-    if x.shape[0] != M.sources.dim:
-        raise InputError(
-            f"point has dim {x.shape[0]}, sources have dim {M.sources.dim}")
-    d = np.sqrt(((x - M.sources.points) ** 2).sum(axis=1))
+    xs, gate = _intake(M, [x], tol)
+    d = np.sqrt(((xs.points[0] - M.sources.points) ** 2).sum(axis=1))
     y = _snap(M.targets.points, d)
     if y is not None:
         return y
     y, F = _certified_solve(M.targets.points, d)
-    target = M.lip * (1.0 + tol)
-    if F > target:
-        raise SolverStall(F, target)
+    if not F <= gate:
+        raise SolverStall(F, gate)
     return y
 
 
@@ -440,16 +455,10 @@ def extend_sequential(M: PartialMap, xs: PointCloud, tol=1e-7) -> PointCloud:
     above lip).  Each pair with a placed point is measured again and must
     stay within M.lip * (1 + tol), else SolverStall (a NaN image too);
     the map's own pairs keep M.lip, as its clouds are never written.
-    Returns the images of xs in row order.  A tol that is NaN, infinite
-    or negative raises InputError.
+    Returns the images of xs in row order.  What ``_intake`` refuses
+    raises InputError.
     """
-    _check_tol(tol)
-    if M.m == 0:
-        raise InputError("cannot extend an empty partial map")
-    xs = _cloud(xs)
-    if xs.m and xs.dim != M.sources.dim:
-        raise InputError(
-            f"xs has dim {xs.dim}, sources have dim {M.sources.dim}")
+    xs, gate = _intake(M, xs, tol)
     m0 = M.m
     src = np.empty((m0 + xs.m, M.sources.dim))
     tgt = np.empty((m0 + xs.m, M.targets.dim))
@@ -470,7 +479,7 @@ def extend_sequential(M: PartialMap, xs: PointCloud, tol=1e-7) -> PointCloud:
         tgt[m] = y
 
     final_lip = _placed_lip(src, tgt, m0)
-    if not final_lip <= M.lip * (1.0 + tol):   # a NaN image fails too
-        raise SolverStall(final_lip, M.lip * (1.0 + tol),
+    if not final_lip <= gate:   # a NaN image fails too
+        raise SolverStall(final_lip, gate,
                           message="sequential extension exceeded tolerance")
     return PointCloud(tgt[m0:])

@@ -76,12 +76,6 @@ def _gram_from_distances(D):
     return -0.5 * (D2 - row - col + tot)
 
 
-def _one_point():
-    """The MDS cloud of a one-point space: no coordinates, and its 1x1
-    zero matrix of squared distances."""
-    return _carrying(PointCloud(np.zeros((1, 0))), np.zeros((1, 1)))
-
-
 def mds_isometric_embed(X: FiniteMetricSpace) -> PointCloud:
     """Exact Euclidean realization of a metric via classical MDS.
 
@@ -91,11 +85,7 @@ def mds_isometric_embed(X: FiniteMetricSpace) -> PointCloud:
     the input to 1e-8 relative.  Raises NotEuclidean otherwise.  The
     result carries the squared distances that check measured.
     """
-    D = X.dist
-    n = X.n
-    if n == 1:
-        return _one_point()
-    eig = sym_eigen(_gram_from_distances(D))
+    eig = sym_eigen(_gram_from_distances(X.dist))
     lam_max = float(max(eig.values[0], 0.0))
     thresh = _MDS_TOL * lam_max
     lam_min = float(eig.values[-1])
@@ -104,8 +94,8 @@ def mds_isometric_embed(X: FiniteMetricSpace) -> PointCloud:
     keep = eig.values > thresh
     cloud = _measured(PointCloud(eig.vectors[:, keep]
                                  * np.sqrt(eig.values[keep])))
-    err = float(np.abs(pairwise_distances(cloud) - D).max())
-    if err > 1e-8 * max(float(D.max()), 1e-300):
+    err = float(np.abs(pairwise_distances(cloud) - X.dist).max())
+    if err > 1e-8 * max(float(X.dist.max()), 1e-300):
         raise NotEuclidean(lam_min)
     return cloud
 
@@ -116,8 +106,6 @@ def mds_best_effort(X: FiniteMetricSpace) -> PointCloud:
     Always returns a cloud, which carries its squared distances and
     realizes the metric only when it is Euclidean: a lossy embedding.
     """
-    if X.n == 1:
-        return _one_point()
     eig = sym_eigen(_gram_from_distances(X.dist))
     lam = np.clip(eig.values, 0.0, None)
     keep = lam > 0.0

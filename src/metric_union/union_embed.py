@@ -33,7 +33,7 @@ within a few ulps of it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -131,11 +131,7 @@ class UnionEmbedding:
             "points": self.full.points.tolist(),
             "report": self.report.as_dict(),
             "audit": [e.as_dict() for e in self.audit],
-            "params": {
-                "alpha": self.params.alpha, "d_a": self.params.d_a,
-                "d_b": self.params.d_b, "beta": self.params.beta,
-                "gamma": self.params.gamma, "tol": self.params.tol,
-            },
+            "params": asdict(self.params),
             "scale_a": self.scale_a,
             "scale_b": self.scale_b,
         }

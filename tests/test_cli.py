@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -418,6 +419,37 @@ def test_glue_bad_pairing_maps_to_input_error(tmp_path, capsys):
         "pairing": [0, 0],
     })
     assert main(["glue", "--input", path]) == 1
+
+
+@pytest.mark.parametrize("u, v, a_idx, pairing, field", [
+    # U' squared distances overflow: "distance matrix contains non-finite
+    # entries", named for no field
+    ([[0.0], [1.0], [1e200]], [[0.0], [2.0], [5.0]], [0, 1], [0, 1],
+     "u_points"),
+    # the matched pair at inf: a numpy RuntimeWarning, then "point cloud
+    # contains non-finite entries"
+    ([[0.0], [1.0], [1e200]], [[0.0], [2.0], [5.0]], [0, 2], [0, 1],
+     "u_points"),
+    ([[0.0], [2.0], [5.0]], [[0.0], [1.0], [1e200]], [0, 1], [0, 1],
+     "v_points"),
+    ([[0.0], [2.0], [5.0]], [[0.0], [1.0], [1e200]], [0, 1], [0, 2],
+     "v_points")])
+def test_glue_names_the_side_whose_distances_overflow(tmp_path, capsys, u, v,
+                                                      a_idx, pairing, field):
+    path = _write(tmp_path, "glue_huge.json", {
+        "u_points": {"points": u}, "v_points": {"points": v},
+        "a_idx": a_idx, "b_idx": sorted(pairing), "pairing": pairing})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["glue", "--input", path]) == 1
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 2 and err[1].startswith("runtime")
+    payload = json.loads(err[0])
+    assert payload["error"] == "InputError"
+    assert payload["message"].startswith(f"{field}: ")
 
 
 @pytest.mark.parametrize("bad", [{"partition": {"a": [0.7], "b": [1]}},

@@ -453,3 +453,42 @@ def test_two_dimensional_grid_oracle():
             span *= 0.2
         assert abs(F - best) <= 1e-3
         assert F <= best + 1e-9  # the solver is never beaten by the grid
+
+
+_SIMPLEX = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("sources, targets, xs, match", [
+    # lip = inf: extend_sequential returned [[0, 0], [0, 0]], certified
+    # against an infinite bound
+    (_SIMPLEX, 1e154 * _SIMPLEX, [[0.4, 0.3], [2.0, 2.0]],
+     "constant overflows"),
+    # lip = nan was accepted; both extensions then named coinciding sources
+    (1e155 * _SIMPLEX, 1e155 * _SIMPLEX, [[0.4e155, 0.3e155]],
+     "constant overflows"),
+    # lip = 1e160 is finite, its square is not: a bare OverflowError from
+    # extend_one_point, SolverStall from extend_sequential
+    ([[0.0, 0.0], [1e-10, 0.0]], [[0.0, 0.0], [1e150, 0.0]],
+     [[5e-11, 1e-11]], "squared level"),
+    # d = inf made every source a duplicate of the point: "sources 0 and 1
+    # coincide but their targets differ"
+    (_SIMPLEX, 2.0 * _SIMPLEX, [[1e200, 0.0]],
+     "distance to the sources overflows"),
+])
+def test_extension_refuses_what_its_squares_cannot_hold(sources, targets,
+                                                        xs, match):
+    M = PartialMap(PointCloud(sources), PointCloud(targets))
+    with pytest.raises(InputError, match=match):
+        extend_one_point(M, xs[0])
+    with pytest.raises(InputError, match=match):
+        extend_sequential(M, PointCloud(xs))
+
+
+@pytest.mark.parametrize("F, cert", [(np.nan, 0.0), (1.0, np.nan)])
+def test_nan_objective_or_certificate_stalls(monkeypatch, F, cert):
+    # both gates compared with ">", which a NaN passes
+    monkeypatch.setattr(kirszbraun, "_solve_extension",
+                        lambda tgt, d: (np.zeros(2), F, cert))
+    with pytest.raises(SolverStall):
+        extend_one_point(PartialMap(PointCloud(_SIMPLEX),
+                                    PointCloud(_SIMPLEX)), [0.4, 0.3])
