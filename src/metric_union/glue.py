@@ -160,8 +160,7 @@ def _build_glued(G: GlueInstance):
     metric (module docstring), so ``_built_space`` checks only the O(n^2)
     axioms; each entry, a kernel distance or the least of sums of at most
     three, is a few ulps from exact, far inside the triangle scan's slack.
-    A U' or V' whose squared distances overflow raises InputError naming
-    its field.
+    A U' or V' whose squared distances overflow: InputError naming it.
     """
     nu = G.u_points.m
     keep_v = np.setdiff1d(np.arange(G.v_points.m), G.pairing)

@@ -160,15 +160,17 @@ def _normalize_side(X, idx, cloud):
 
 def _pair_families(X, P):
     """(fams, r): ``fams`` the (pairs, true distances) within A, within B
-    and across, pairs as two arrays of space indices, and ``r`` d(x, B)
-    on A and d(x, A) on B by space index (0 on the overlap).  Side pairs
-    run over i < j, cross pairs over A x B row-major without an overlap
-    point paired with itself: these orders choose each witness on a tie.
+    and across, pairs as two arrays of space indices (int32, which halves
+    them: they live through the whole audit), and ``r`` d(x, B) on A and
+    d(x, A) on B by space index (0 on the overlap).  Side pairs run over
+    i < j, cross pairs over A x B row-major without an overlap point
+    paired with itself: these orders choose each witness on a tie.
     """
-    pairs = [(idx[i], idx[j]) for idx in (P.idx_a, P.idx_b)
+    ia, ib = (idx.astype(np.int32) for idx in (P.idx_a, P.idx_b))
+    pairs = [(idx[i], idx[j]) for idx in (ia, ib)
              for i, j in [np.triu_indices(idx.size, k=1)]]
-    i, j = np.nonzero(P.idx_a[:, None] != P.idx_b)   # row-major
-    pairs.append((P.idx_a[i], P.idx_b[j]))
+    i, j = np.nonzero(ia[:, None] != ib)   # row-major
+    pairs.append((ia[i], ib[j]))
     r = np.zeros(X.n)
     r[P.idx_a], r[P.idx_b] = P.r_a, P.r_b
     return [(p, X.dist[p]) for p in pairs], r
@@ -198,9 +200,8 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     matrices.  psi's squared matrix has one rule: rows copied from phi_b
     (B, and cover points through ``nb``) re-index phi_b's matrix, and only
     placed rows are measured, as one block against all of psi.  The
-    returned cloud carries that matrix; the audit roots the entries it
-    selects at the pairs of ``fams``, over their true distances, with
-    ``r`` (``_pair_families``, and ``_swapped`` for psi_a).
+    returned cloud carries that matrix; the audit roots its entries at
+    the pairs of ``fams`` (``_pair_families``, ``_swapped`` for psi_a).
 
     Audited guarantees, with lf = 2(1 + 1/alpha):
       {name}.away_upper   A-pair image ratio   <= lf * d_a * d_b
