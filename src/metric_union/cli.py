@@ -133,25 +133,29 @@ def cmd_check_metric(args):
     return {"ok": True, "n": X.n, "labels": list(X.labels)}
 
 
-def _load_space_partition(obj):
+def _read_input(path, clouds):
+    """(X, P, the named side clouds, None where absent, and alpha) from
+    the input at ``path``.  The parsed document is dropped on return, so
+    no parsed matrix is held across the computation: X and each cloud
+    keep their own copies."""
+    obj = load_json(path)
     if not isinstance(obj, dict):
         raise InputError("input must be a JSON object")
     if "space" not in obj or "partition" not in obj:
         raise InputError("input needs 'space' and 'partition' fields")
     X = parse_space(obj["space"])
     P = parse_partition(obj["partition"], X)
-    return X, P
+    phis = [parse_cloud(obj[k], k) if k in obj else None for k in clouds]
+    return X, P, phis, obj.get("alpha")
 
 
 def cmd_embed(args):
-    obj = load_json(args.input)
-    X, P = _load_space_partition(obj)
+    X, P, phis, alpha = _read_input(args.input, ("phi_a", "phi_b"))
     # a sub-matrix of a metric is a metric: a side takes no triangle scan
-    phi_a = parse_cloud(obj["phi_a"], "phi_a") if "phi_a" in obj \
-        else mds_isometric_embed(_built_space(X.sub(P.idx_a)))
-    phi_b = parse_cloud(obj["phi_b"], "phi_b") if "phi_b" in obj \
-        else mds_isometric_embed(_built_space(X.sub(P.idx_b)))
-    alpha = args.alpha if args.alpha is not None else obj.get("alpha")
+    phi_a, phi_b = (mds_isometric_embed(_built_space(X.sub(idx)))
+                    if phi is None else phi
+                    for phi, idx in zip(phis, (P.idx_a, P.idx_b)))
+    alpha = args.alpha if args.alpha is not None else alpha
     emb = embed_union(X, P, phi_a, phi_b, tol=args.tol, alpha=alpha)
     full = emb.as_dict()
     return {
@@ -165,9 +169,8 @@ def cmd_embed(args):
 
 
 def cmd_cover(args):
-    obj = load_json(args.input)
-    X, P = _load_space_partition(obj)
-    alpha = args.alpha if args.alpha is not None else obj.get("alpha")
+    X, P, _, alpha = _read_input(args.input, ())
+    alpha = args.alpha if args.alpha is not None else alpha
     # verifies the cover and lip_f; a JSON null means the default 1/2
     C = build_cover(X, P, 0.5 if alpha is None else alpha)
     return {

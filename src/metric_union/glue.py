@@ -153,7 +153,8 @@ def _build_glued(G: GlueInstance):
     V''s distances in its own row order, and each V' row's space index.
 
     Only the V' rows no pairing merges are routed: the cross block and
-    their detours are three ``metric._min_plus`` products over them, and
+    their detours are two ``metric._min_plus`` products over them, the
+    detours read through the cross block's pairing rows, and
     ``vv_direct`` stays whole for f2's report.  Sums and minima are
     exact, so each entry is what routing every row gives.  With the pairing
     non-contracting, these closed forms are the quotient's shortest-path
@@ -178,10 +179,12 @@ def _build_glued(G: GlueInstance):
     vv_direct = pairwise_distances(phi_b)[np.ix_(pos, pos)]
     ua = uu[:, G.a_idx]                 # (nu, m) walk to a pairing point
     bp = vv_direct[np.ix_(keep_v, G.pairing)]  # (nk, m) to a partner image
-    aa = uu[np.ix_(G.a_idx, G.a_idx)]   # (m, m) walk between pairing points
 
     cross = _min_plus(ua, bp.T)
-    routed = _min_plus(_min_plus(bp, aa), bp.T)
+    # a detour leaves V' at a partner image, walks in U' from its pairing
+    # point a_k, and comes back: cross's pairing rows already hold
+    # min_l (uu[a_k, a_l] + bp[j, l])
+    routed = _min_plus(bp, cross[G.a_idx])
     # the detour cost is symmetric, but its two summation orders round
     # differently; take the elementwise min so the matrix is exact
     routed = np.minimum(routed, routed.T)

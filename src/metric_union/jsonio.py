@@ -5,18 +5,20 @@ fixed, and every float is rendered with 17 significant digits (enough to
 round-trip IEEE doubles exactly).  Parsing accepts integers wherever
 decimals are expected and converts shape or type problems into
 ``InputError`` so the CLI can map them to a stable exit code.  Matrices
-and index lists take the library's one conversion and one index check.
+and index lists take the library's one conversion and one index check;
+``load_json`` reads each matrix row by row into a float64 array.
 """
 
 import json
 import math
+from json.decoder import WHITESPACE
 
 import numpy as np
 
 from .errors import InputError
 from .glue import GlueInstance, glue_instance
-from .metric import (FiniteMetricSpace, PointCloud, UnionPartition,
-                     _index_list, _integral, _real_array,
+from .metric import (_REAL_TYPES, FiniteMetricSpace, PointCloud,
+                     UnionPartition, _index_list, _integral, _real_array,
                      build_partition, validate_metric)
 
 __all__ = ["canonical_dumps", "to_jsonable", "load_json", "parse_space",
@@ -85,14 +87,146 @@ def canonical_dumps(value) -> str:
     return "".join(out)
 
 
+_SCAN = json.JSONDecoder().scan_once   # the stdlib's C scanner
+_MATRIX_KEYS = frozenset(("dist", "points"))
+
+
+class _Unwalked(Exception):
+    """Text the walker leaves to ``json.loads``: malformed, or not JSON."""
+
+
+def _skip(s, i):
+    return WHITESPACE.match(s, i).end()
+
+
+def _scan(s, i):
+    try:
+        return _SCAN(s, i)
+    except (StopIteration, ValueError):   # also JSONDecodeError
+        raise _Unwalked from None
+
+
+def _value(s, i, matrix=False):
+    """(value, end) of the JSON value at s[i]."""
+    c = s[i:i + 1]
+    if c == "{":
+        return _object(s, _skip(s, i + 1))
+    if c != "[":
+        return _scan(s, i)
+    start, i = i, _skip(s, i + 1)
+    if matrix and s[i:i + 1] == "[":
+        # json.load's lists when a row is refused, for _real_array to
+        # refuse in its own words
+        return _matrix(s, i) or _scan(s, start)
+    items = []
+    if s[i:i + 1] == "]":
+        return items, i + 1
+    while True:
+        item, i = _value(s, i)
+        items.append(item)
+        i = _skip(s, i)
+        c = s[i:i + 1]
+        if c == "]":
+            return items, i + 1
+        if c != ",":
+            raise _Unwalked
+        i = _skip(s, i + 1)
+
+
+def _object(s, i):
+    obj = {}
+    if s[i:i + 1] == "}":
+        return obj, i + 1
+    while True:
+        if s[i:i + 1] != '"':
+            raise _Unwalked
+        key, i = _scan(s, i)
+        i = _skip(s, i)
+        if s[i:i + 1] != ":":
+            raise _Unwalked
+        obj[key], i = _value(s, _skip(s, i + 1), key in _MATRIX_KEYS)
+        i = _skip(s, i)
+        c = s[i:i + 1]
+        if c == "}":
+            return obj, i + 1
+        if c != ",":
+            raise _Unwalked
+        i = _skip(s, i + 1)
+
+
+def _matrix(s, i):
+    """(float64 array, end) of the array of arrays whose first row starts
+    at s[i], filled one row at a time into a buffer grown by doubling, or
+    None when some entry is not a row that ``_real_array`` takes: entry
+    types within ``_REAL_TYPES``, the first row's length, no
+    ``OverflowError``."""
+    buf, n = None, 0
+    while True:
+        if s[i:i + 1] != "[":
+            return None
+        row, i = _scan(s, i)
+        if not set(map(type, row)) <= _REAL_TYPES:
+            return None
+        if buf is None:
+            buf = np.empty((max(len(row), 1), len(row)))
+        elif len(row) != buf.shape[1]:
+            return None
+        elif n == buf.shape[0]:
+            buf.resize((2 * n, buf.shape[1]), refcheck=False)
+        try:
+            buf[n] = row
+        except OverflowError:   # an integer beyond float range
+            return None
+        n += 1
+        i = _skip(s, i)
+        c = s[i:i + 1]
+        if c == "]":
+            buf.resize((n, buf.shape[1]), refcheck=False)
+            return buf, i + 1
+        if c != ",":
+            raise _Unwalked
+        i = _skip(s, i + 1)
+
+
 def load_json(path):
+    """The JSON document at ``path``, with each array of arrays under a
+    ``dist`` or ``points`` key as a float64 array.
+
+    The walker takes the objects and arrays itself and hands every
+    scalar, string and matrix row to the stdlib's C scanner, so values
+    are what ``json.load`` gives.  A matrix is filled one row at a time,
+    so the peak is about the text plus one float64 matrix, not n^2 Python
+    floats.  A matrix with a row that ``_real_array`` would refuse comes
+    back as ``json.load``'s lists, for it to refuse in the same words.
+    Text the walker does not take is parsed by ``json.loads``, which
+    gives its value or its error.  InputError for an unreadable file,
+    bytes that are not UTF-8, malformed JSON, an integer longer than
+    int's digit limit and nesting deeper than the parser's recursion
+    limit.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+    try:
+        value, end = _value(text, _skip(text, 0))
+        if _skip(text, end) == len(text):
+            return value
+    except (_Unwalked, RecursionError):
+        pass
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:   # an integer past int's digit limit
+        raise InputError(f"{path} holds a number JSON parsing cannot "
+                         f"convert: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests deeper than the JSON parser's "
+                         f"recursion limit") from None
 
 
 def _require(obj, key, where):

@@ -47,8 +47,9 @@ reads y alone, so it computes no weights.  Every accepted
 image is measured lam-Lipschitz against all earlier points, so by
 Kirszbraun's theorem the level-lam ball intersection stays non-empty at
 the next step.  Only a positive measure, which rounding at a tight level
-can leave, goes to the optimal solver with its certificate; the final
-gate at lip (1 + tol) measures again only the pairs with a placed point.
+can leave, or a weight s d_i^2 that overflows (no search runs on it) goes
+to the optimal solver with its certificate; the final gate at
+lip (1 + tol) measures again only the pairs with a placed point.
 """
 
 import math
@@ -97,13 +98,17 @@ class PartialMap:
 def _lip_from(S, T, m0=0):
     """Max ratio ||t_i - t_j|| / ||s_i - s_j|| over distinct sources j < i,
     i >= m0, from squared distances ``S``, ``T`` of rows m0 on against all
-    rows; a coinciding pair with distinct targets: InconsistentDuplicate."""
+    rows; a coinciding pair with distinct targets: InconsistentDuplicate.
+    A source distance that overflows measures no ratio: NaN, which
+    ``_intake`` refuses."""
     r, j = np.tril_indices(S.shape[0], k=m0 - 1, m=S.shape[1])
     s, t = np.sqrt(S[r, j]), np.sqrt(T[r, j])
     dup = s == 0.0
     if np.any(dup & (t > 0.0)):
         k = int(np.nonzero(dup & (t > 0.0))[0][0])
         raise InconsistentDuplicate(int(j[k]), int(m0 + r[k]))
+    if not np.all(s < math.inf):
+        return math.nan
     live = ~dup
     return float((t[live] / s[live]).max()) if live.any() else 0.0
 
@@ -386,14 +391,26 @@ def _level_image(tgt, d, s):
     target of the nearest source; only y is read, so no weights are
     computed.  The returned y is measured against every source in the
     original frame; None when that measure is positive (the level is
-    infeasible, or rounding at a tight level).
+    infeasible, or rounding at a tight level), and with no search when a
+    weight s d_i^2 overflows, though s and d_i^2 do not.
     """
+    dmax = float(d.max())
+    if not s * (dmax * dmax) < math.inf:   # the largest weight, as below
+        return None
     origin = tgt[int(d.argmin())]
     sdd = s * (d * d)
     y = _ball_search(tgt - origin, -sdd)[1] + origin
     if float((((y - tgt) ** 2).sum(axis=1) - sdd).max()) > 0.0:
         return None
     return y
+
+
+def _distances(x, sources):
+    """||x - s_i|| for each row s_i of ``sources``: inf, with no numpy
+    warning, where the difference or its square overflows, for ``_snap``
+    to refuse by name."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(((x - sources) ** 2).sum(axis=1))
 
 
 def _check_tol(tol):
@@ -432,7 +449,7 @@ def extend_one_point(M: PartialMap, x, tol=1e-7) -> np.ndarray:
     certificate.  What ``_intake`` refuses raises InputError.
     """
     xs, gate = _intake(M, [x], tol)
-    d = np.sqrt(((xs.points[0] - M.sources.points) ** 2).sum(axis=1))
+    d = _distances(xs.points[0], M.sources.points)
     y = _snap(M.targets.points, d)
     if y is not None:
         return y
@@ -450,11 +467,12 @@ def extend_sequential(M: PartialMap, xs: PointCloud, tol=1e-7) -> PointCloud:
     point, not the minimax optimum.  A snapped duplicate takes its
     recorded target; every other step, lip 0 included, takes the image
     one fixed-level ball search finds, which reads y and no weights.
-    Only a step that rounding leaves infeasible goes to the optimal
-    solver, without a gate (such a step may legitimately sit a few ulp
-    above lip).  Each pair with a placed point is measured again and must
-    stay within M.lip * (1 + tol), else SolverStall (a NaN image too);
-    the map's own pairs keep M.lip, as its clouds are never written.
+    Only a step that rounding leaves infeasible, or whose level weights
+    overflow, goes to the optimal solver, without a gate (such a step
+    may legitimately sit a few ulp above lip).  Each pair with a placed
+    point is measured again and must stay within M.lip * (1 + tol), else
+    SolverStall (a NaN image too); the map's own pairs keep M.lip, as its
+    clouds are never written.
     Returns the images of xs in row order.  What ``_intake`` refuses
     raises InputError.
     """
@@ -469,7 +487,7 @@ def extend_sequential(M: PartialMap, xs: PointCloud, tol=1e-7) -> PointCloud:
     for k in range(xs.m):
         m = m0 + k
         x = xs.points[k]
-        d = np.sqrt(((x - src[:m]) ** 2).sum(axis=1))
+        d = _distances(x, src[:m])
         y = _snap(tgt[:m], d)
         if y is None:
             y = _level_image(tgt[:m], d, s)

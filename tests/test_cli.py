@@ -12,9 +12,10 @@ import pytest
 import metric_union.cli as cli
 import metric_union.glue as glue
 import metric_union.lower_bound as lower_bound
-from metric_union import (canonical_dumps, embed_union, external_extend,
-                          glued_metric, load_json, parse_glue,
-                          sample_glue_instance, to_jsonable, union_instance)
+from metric_union import (InputError, canonical_dumps, embed_union,
+                          external_extend, glued_metric, load_json,
+                          parse_glue, sample_glue_instance, to_jsonable,
+                          union_instance)
 from metric_union.cli import main
 
 
@@ -402,12 +403,105 @@ def test_number_beyond_float_range_is_an_input_error(tmp_path, capsys,
     huge = _write(tmp_path, "huge.json", {"dist": [[0, 10 ** 400],
                                                    [10 ** 400, 0]]})
     obj = load_json(embed_input[0])
+    # load_json gives a float64 array, which cannot hold the integer
+    obj["phi_b"]["points"] = obj["phi_b"]["points"].tolist()
     obj["phi_b"]["points"][0][0] = 10 ** 400
     phi = _write(tmp_path, "phi.json", obj)
     for argv in (["check-metric", "--input", huge],
                  ["embed", "--input", phi]):
         assert main(argv) == 1
         _refused_as_input_error(capsys)
+
+
+@pytest.mark.parametrize("data", [
+    b'\xff\xfe{"dist": [[0]]}',                  # not UTF-8
+    b'{"dist": ' + b"[" * 100000,                  # too deep for the scanner
+    b'{"labels": ' + b"[" * 100000 + b"]" * 100000 + b"}",   # for the walker
+    b'{"a": ' * 100000 + b"0" + b"}" * 100000,
+    b'{"dist": [[0, 1' + b"0" * 5000 + b'], [1, 0]]}'],   # 4300 digits max
+    ids=["not-utf8", "deep-dist", "deep-labels", "deep-objects",
+         "long-integer"])
+def test_undecodable_input_is_an_input_error(tmp_path, capsys, data):
+    # UnicodeDecodeError, RecursionError and the ValueError of int's digit
+    # limit ended in bare tracebacks
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert main(["check-metric", "--input", str(path)]) == 1
+    _refused_as_input_error(capsys)
+
+
+def _json_load(path):
+    """The plain ``json.load`` intake that ``load_json`` replaces."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from None
+
+
+_EMBED_OK = ('"space": {"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}, '
+             '"partition": {"a": [0, 1], "b": [1, 2]}')
+
+
+# the JSON refusals of test_intake.py and this file, and the matrices the
+# walker leaves as lists
+@pytest.mark.parametrize("command, text", [
+    ("check-metric", '{"dist": [["0", "1"], ["1", "0"]]}'),
+    ("check-metric", '{"dist": [[0, null], [null, 0]]}'),
+    ("check-metric", '{"dist": [[false, true], [true, false]]}'),
+    ("check-metric", '{"dist": [[0, 1.0], [true, 0]]}'),
+    ("check-metric", '{"dist": [[0, 1], [1]]}'),
+    ("check-metric", '{"dist": [[0, [1]], [1, 0]]}'),
+    ("check-metric", '{"dist": [[0, 1], 5]}'),
+    ("check-metric", '{"dist": [0, 1]}'),
+    ("check-metric", '{"dist": []}'),
+    ("check-metric", '{"dist": [[]]}'),
+    ("check-metric", '{"dist": [[0, 1e999], [1e999, 0]]}'),
+    ("check-metric", '{"dist": [[0, NaN], [NaN, 0]]}'),
+    ("check-metric", '{"dist": [[0, 1' + "0" * 400 + '], [1, 0]]}'),
+    ("check-metric", '{"dist": [[0, 1], [2, 0]]}'),
+    ("check-metric", '{"dist": [[0, 1], [1, 0]], "labels": ["p"]}'),
+    ("check-metric", '{"labels": ["p"]}'),
+    ("check-metric", '[1, 2]'),
+    ("check-metric", '{not json'),
+    ("check-metric", '{"dist": [[0, 1], [1, 0]]'),
+    ("check-metric", '{"dist": [[0, 1] [1, 0]]}'),
+    ("check-metric", '{"dist": [[0, 1 2], [1, 0]]}'),
+    ("check-metric", '{"dist": [[0, 1], [1, 0]], "labels": ["p\\q", "r"]}'),
+    ("check-metric", '{"dist": [[0, 1], [1, 0]]} x'),
+    ("check-metric", '\ufeff{"dist": [[0, 1], [1, 0]]}'),
+    ("embed", '{' + _EMBED_OK + ', "phi_a": {"points": [["0"], ["1"]]}}'),
+    ("embed", '{' + _EMBED_OK + ', "phi_b": {"points": [[null], [1]]}}'),
+    ("embed", '{' + _EMBED_OK + ', "phi_a": {"points": [[0], [1, 2]]}}'),
+    ("embed", '{' + _EMBED_OK
+     + ', "phi_a": {"dim": 2, "points": [[0], [1]]}}'),
+    ("embed", '{' + _EMBED_OK + ', "phi_b": {"points": [[1' + "0" * 400
+     + '], [0]]}}'),
+    ("embed", '{"space": {"dist": [[0, 1], [1, 0]]}, '
+              '"partition": {"a": [0.7], "b": [1]}}'),
+    ("embed", '{"space": {"dist": [[0, 1], [1, 0]]}}'),
+    ("cover", '{"space": {"dist": [[0, "1"], [1, 0]]}, '
+              '"partition": {"a": [0], "b": [1]}}'),
+    ("glue", '{"u_points": {"points": [["0"], ["1"]]}, '
+             '"v_points": {"points": [[0.0], [1.0]]}, '
+             '"a_idx": [0], "b_idx": [0], "pairing": [0]}'),
+    ("glue", '{"u_points": {"points": [[0.0], [1.0]]}, '
+             '"v_points": {"points": [[0.0], [null]]}, '
+             '"a_idx": [0], "b_idx": [0], "pairing": [0]}'),
+])
+def test_json_refusals_keep_their_messages(tmp_path, capsys, monkeypatch,
+                                           command, text):
+    # the same exit code and error line as with json.load's nested lists
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, "--input", str(path)]
+    code = main(argv)
+    got = capsys.readouterr()
+    monkeypatch.setattr(cli, "load_json", _json_load)
+    assert main(argv) == code == 1
+    want = capsys.readouterr()
+    assert got.out == want.out == ""
+    assert got.err.splitlines()[0] == want.err.splitlines()[0]
 
 
 def test_glue_bad_pairing_maps_to_input_error(tmp_path, capsys):

@@ -363,5 +363,4 @@ def test_quotient_routes_only_kept_v_rows(monkeypatch):
         kept = G.v_points.m - m
         shapes.clear()
         glue._build_glued(G)
-        assert sorted(shapes) == sorted([(nu, kept), (kept, m),
-                                         (kept, kept)])
+        assert sorted(shapes) == sorted([(nu, kept), (kept, kept)])

@@ -1,6 +1,7 @@
 """Canonical JSON emission and input-schema parsing."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,71 @@ def test_load_json_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text('{"x": 1}')
     assert load_json(good) == {"x": 1}
+
+
+def _load(tmp_path, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    return load_json(path)
+
+
+def test_load_json_matrices_are_json_load_floats_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(0)
+    big = rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-300, 300,
+                                                             (4, 4))
+    digits = ", ".join("[" + ", ".join(format(v, ".17g") for v in row) + "]"
+                       for row in big)   # 17 significant digits, exponents
+    text = ('{"space": {"dist": [[0, 1, -0.0, 12345678901234567890],'
+            ' [1E-5, 0.1, 2.5e3, 1.7976931348623157e308],'
+            ' [-7, 4.9e-324, 2.2250738585072014e-308, 0.30000000000000004]'
+            ' ], "labels": ["x", "y", "z"]},'
+            ' "partition": {"a": [0, 1], "b": [1, 2.0]},'
+            ' "phi_a": {"points": [\n' + digits + '\n]},'
+            ' "phi_b": {"dim": 1, "points": [[2], [-3]]}, "alpha": 0.5}')
+    got, ref = _load(tmp_path, text), json.loads(text)
+    for path in (("space", "dist"), ("phi_a", "points"),
+                 ("phi_b", "points")):
+        a, b = got[path[0]][path[1]], ref[path[0]][path[1]]
+        expected = np.asarray(b, dtype=np.float64)
+        assert isinstance(a, np.ndarray) and a.dtype == np.float64
+        assert a.shape == expected.shape
+        assert a.tobytes() == expected.tobytes()   # -0.0 stays -0.0
+    # labels, index lists and scalars come back as json.load gives them
+    for key in ("a", "b"):
+        assert type(got["partition"][key]) is list
+        assert got["partition"][key] == ref["partition"][key]
+    assert got["space"]["labels"] == ["x", "y", "z"]
+    assert got["phi_b"]["dim"] == 1 and got["alpha"] == 0.5
+
+
+@pytest.mark.parametrize("dist", [
+    '[[0, true], [1, 0]]', '[[0, "1"], [1, 0]]', '[[0, null], [1, 0]]',
+    '[[0, 1], [1]]', '[[0, [1]], [1, 0]]', '[[0, 1], 5]', '[0, 1]',
+    '[[0, 1' + '0' * 400 + '], [1, 0]]', '[]'])   # 10**400 overflows
+def test_load_json_leaves_refused_matrices_as_json_load_lists(tmp_path,
+                                                              dist):
+    text = '{"dist": ' + dist + '}'
+    assert _load(tmp_path, text) == json.loads(text)
+
+
+def test_load_json_holds_no_nested_floats(tmp_path):
+    # json.load's nested lists hold about 32 bytes per entry (a Python
+    # float and its pointer), a float64 array 8
+    n = 300
+    dist = np.round(np.random.default_rng(0).uniform(1, 10, (n, n)), 3)
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({"dist": dist.tolist()}))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        obj = load_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(obj["dist"], dist)
+    # reading holds the bytes and the text at once, parsing holds the text
+    # and one float64 matrix
+    assert peak <= max(2 * size, size + 8 * n * n) + 2 ** 17
 
 
 def test_parse_space_good_and_bad():

@@ -475,13 +475,37 @@ _SIMPLEX = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     (_SIMPLEX, 2.0 * _SIMPLEX, [[1e200, 0.0]],
      "distance to the sources overflows"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extension_refuses_what_its_squares_cannot_hold(sources, targets,
                                                         xs, match):
+    # refused by name, with no numpy overflow or inf / inf warning first
     M = PartialMap(PointCloud(sources), PointCloud(targets))
     with pytest.raises(InputError, match=match):
         extend_one_point(M, xs[0])
     with pytest.raises(InputError, match=match):
         extend_sequential(M, PointCloud(xs))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_level_weights_that_overflow_take_the_optimal_solver(monkeypatch):
+    # lip = 1e100 and d^2 = 1e300 are finite, s d^2 is not: the ball
+    # search ran on infinite weights, behind numpy overflow warnings
+    M = PartialMap(PointCloud([[0.0, 0.0], [1e-100, 0.0], [0.0, 1e-100]]),
+                   PointCloud(_SIMPLEX))
+    x = np.array([1e150, 0.0])
+    d = np.sqrt(((x - M.sources.points) ** 2).sum(axis=1))
+    y, _ = kirszbraun._certified_solve(M.targets.points, d)
+
+    search = kirszbraun._ball_search
+
+    def finite_search(T, c):
+        assert np.all(np.isfinite(c)), "ball search on infinite weights"
+        return search(T, c)
+
+    monkeypatch.setattr(kirszbraun, "_ball_search", finite_search)
+    # returned, so the final gate at lip (1 + tol) passed
+    img = extend_sequential(M, PointCloud([x]))
+    np.testing.assert_array_equal(img.points, [y])
 
 
 @pytest.mark.parametrize("F, cert", [(np.nan, 0.0), (1.0, np.nan)])
