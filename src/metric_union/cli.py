@@ -156,16 +156,7 @@ def cmd_embed(args):
                     if phi is None else phi
                     for phi, idx in zip(phis, (P.idx_a, P.idx_b)))
     alpha = args.alpha if args.alpha is not None else alpha
-    emb = embed_union(X, P, phi_a, phi_b, tol=args.tol, alpha=alpha)
-    full = emb.as_dict()
-    return {
-        "embedding": {"dim": full["dim"], "points": full["points"]},
-        "report": full["report"],
-        "audit": full["audit"],
-        "params": full["params"],
-        "scale_a": full["scale_a"],
-        "scale_b": full["scale_b"],
-    }
+    return embed_union(X, P, phi_a, phi_b, alpha=alpha).as_dict()
 
 
 def cmd_cover(args):
@@ -210,7 +201,7 @@ def cmd_lowerbound(args):
 
 def cmd_glue(args):
     G = parse_glue(load_json(args.input))
-    ext = external_extend(G, tol=args.tol)
+    ext = external_extend(G)
     return {
         "glued": {
             "n": ext.embedding.full.m,
@@ -261,18 +252,16 @@ def _build_parser():
             p.add_argument("--seed", type=_seed, default=0)
         if flags.get("alpha"):
             p.add_argument("--alpha", type=float, default=None)
-        if flags.get("tol"):
-            p.add_argument("--tol", type=float, default=1e-7)
         return p
 
     add("check-metric", True)
-    add("embed", True, alpha=True, tol=True)
+    add("embed", True, alpha=True)
     add("cover", True, alpha=True)
     size = add("lowerbound", False, seed=True).add_mutually_exclusive_group(
         required=True)
     size.add_argument("--n", type=int, default=None)
     size.add_argument("--epsilon", type=float, default=None)
-    add("glue", True, tol=True)
+    add("glue", True)
     add("selftest", False, seed=True)
     return parser
 

@@ -215,7 +215,7 @@ def glued_metric(G: GlueInstance):
     return _build_glued(G)[:2]
 
 
-def external_extend(G: GlueInstance, tol: float = 1e-7) -> ExternalExtension:
+def external_extend(G: GlueInstance) -> ExternalExtension:
     """Extend the pairing to all of U' and V' through one embedding.
 
     Runs ``embed_union`` on the glued space with identity coordinates on
@@ -230,7 +230,7 @@ def external_extend(G: GlueInstance, tol: float = 1e-7) -> ExternalExtension:
     against U''s and V''s distances, and measure nothing again.
     """
     X, P, phi_a, phi_b, vv_direct, v_global = _build_glued(G)
-    emb = embed_union(X, P, phi_a, phi_b, tol=tol)
+    emb = embed_union(X, P, phi_a, phi_b)
 
     nu = G.u_points.m
     f1 = PointCloud(emb.full.points[:nu].copy())

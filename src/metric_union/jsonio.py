@@ -107,30 +107,19 @@ def _scan(s, i):
 
 
 def _value(s, i, matrix=False):
-    """(value, end) of the JSON value at s[i]."""
+    """(value, end) of the JSON value at s[i].  Objects are walked, a
+    ``matrix`` value that is an array of arrays goes to ``_matrix``, and
+    every other value to the C scanner whole."""
     c = s[i:i + 1]
     if c == "{":
         return _object(s, _skip(s, i + 1))
-    if c != "[":
-        return _scan(s, i)
-    start, i = i, _skip(s, i + 1)
-    if matrix and s[i:i + 1] == "[":
-        # json.load's lists when a row is refused, for _real_array to
-        # refuse in its own words
-        return _matrix(s, i) or _scan(s, start)
-    items = []
-    if s[i:i + 1] == "]":
-        return items, i + 1
-    while True:
-        item, i = _value(s, i)
-        items.append(item)
-        i = _skip(s, i)
-        c = s[i:i + 1]
-        if c == "]":
-            return items, i + 1
-        if c != ",":
-            raise _Unwalked
-        i = _skip(s, i + 1)
+    if matrix and c == "[":
+        row = _skip(s, i + 1)
+        if s[row:row + 1] == "[":
+            # json.load's lists when a row is refused, for _real_array to
+            # refuse in its own words
+            return _matrix(s, row) or _scan(s, i)
+    return _scan(s, i)
 
 
 def _object(s, i):
@@ -192,9 +181,10 @@ def load_json(path):
     """The JSON document at ``path``, with each array of arrays under a
     ``dist`` or ``points`` key as a float64 array.
 
-    The walker takes the objects and arrays itself and hands every
-    scalar, string and matrix row to the stdlib's C scanner, so values
-    are what ``json.load`` gives.  A matrix is filled one row at a time,
+    The walker takes the objects itself and hands every other value
+    (scalars, strings, arrays whole, and matrix rows) to the stdlib's C
+    scanner, so values are what ``json.load`` gives; a matrix nested
+    inside an array stays a list.  A matrix is filled one row at a time,
     so the peak is about the text plus one float64 matrix, not n^2 Python
     floats.  A matrix with a row that ``_real_array`` would refuse comes
     back as ``json.load``'s lists, for it to refuse in the same words.

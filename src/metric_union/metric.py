@@ -391,8 +391,10 @@ def build_partition(X: FiniteMetricSpace, idx_a, idx_b) -> UnionPartition:
     covered[ib] = True
     if not covered.all():
         raise CoverageError(np.nonzero(~covered)[0].tolist())
-    r_a = X.dist[np.ix_(ia, ib)].min(axis=1)
-    r_b = X.dist[np.ix_(ib, ia)].min(axis=1)
+    # X.dist is exactly symmetric (the axiom check refuses any gap), so
+    # the A x B block's column minima are r_b bit for bit
+    block = X.dist[np.ix_(ia, ib)]
+    r_a, r_b = block.min(axis=1), block.min(axis=0)
     return UnionPartition(idx_a=_readonly(ia), idx_b=_readonly(ib),
                           r_a=_readonly(r_a), r_b=_readonly(r_b))
 
@@ -513,12 +515,14 @@ def distortion_of(X: FiniteMetricSpace, images, subset=None) -> DistortionReport
     Raises CollapsedPairError if two distinct points share an image.
     """
     images = _cloud(images)
-    subset = (np.arange(X.n) if subset is None
-              else _index_list(subset, X.n, "subset"))
+    if subset is None:
+        subset, dm = np.arange(X.n), X.dist
+    else:
+        subset = _index_list(subset, X.n, "subset")
+        dm = X.dist[np.ix_(subset, subset)]
     if images.m != subset.size:
         raise InputError(f"{images.m} image rows for {subset.size} points")
-    return _distortion_report(X.dist[np.ix_(subset, subset)],
-                              _measured(images).sq_dist, subset)
+    return _distortion_report(dm, _measured(images).sq_dist, subset)
 
 
 def _distortion_report(dm, sq, subset):

@@ -41,7 +41,7 @@ from . import metric
 from .audit import Collector, raise_failing
 from .cover import _check_alpha, build_cover, f_lip_bound
 from .errors import AuditViolation, InputDistortionError, InputError
-from .kirszbraun import PartialMap, _check_tol, extend_sequential
+from .kirszbraun import PartialMap, extend_sequential
 from .linalg import direct_sum
 from .metric import (DistortionReport, FiniteMetricSpace, PointCloud,
                      UnionPartition, _carrying, _cloud, _distortion_report,
@@ -62,14 +62,22 @@ _AUDIT_REL = 1e-6   # an entry's allow, relative to max(|bound|, 1)
 _EQ_TOL = 1e-12     # equality tolerance for parameter comparisons
 
 
+def _check_sides(d_a, d_b):
+    """InputError unless both side constants are real and at least 1."""
+    if not (_real(d_a, "d_a") >= 1.0
+            and _real(d_b, "d_b") >= 1.0):   # also nan
+        raise InputError(
+            f"side constants must be >= 1, got {d_a!r}, {d_b!r}")
+
+
+def _isometric(d_a, d_b):
+    return abs(d_a - 1.0) <= _EQ_TOL and abs(d_b - 1.0) <= _EQ_TOL
+
+
 def select_alpha(d_a: float, d_b: float) -> float:
     """Default cover parameter: 0.3114 for isometric sides, else 1/2."""
-    if not (_real(d_a, "d_a") >= 1.0 - _EQ_TOL
-            and _real(d_b, "d_b") >= 1.0 - _EQ_TOL):   # also nan
-        raise InputError(f"side constants must be >= 1, got {d_a}, {d_b}")
-    if abs(d_a - 1.0) <= _EQ_TOL and abs(d_b - 1.0) <= _EQ_TOL:
-        return _ISO_ALPHA
-    return _GEN_ALPHA
+    _check_sides(d_a, d_b)
+    return _ISO_ALPHA if _isometric(d_a, d_b) else _GEN_ALPHA
 
 
 @dataclass(frozen=True)
@@ -83,20 +91,15 @@ class EmbedParams:
     d_b: float
     beta: float
     gamma: float
-    tol: float = 1e-7
 
     @staticmethod
-    def derive(alpha, d_a, d_b, tol=1e-7):
+    def derive(alpha, d_a, d_b):
         _check_alpha(alpha)
-        if not (_real(d_a, "d_a") >= 1.0
-                and _real(d_b, "d_b") >= 1.0):   # also nan
-            raise InputError(
-                f"side constants must be >= 1, got {d_a!r}, {d_b!r}")
-        _check_tol(tol)
+        _check_sides(d_a, d_b)
         beta = (1.0 + alpha) * (2.0 * d_a * d_b + 1.0)
         params = EmbedParams(alpha=float(alpha), d_a=float(d_a),
                              d_b=float(d_b), beta=beta,
-                             gamma=math.sqrt(0.5) * beta, tol=float(tol))
+                             gamma=math.sqrt(0.5) * beta)
         try:   # a float power raises where a product would give inf
             if math.isfinite(max(_sq_bounds(params))):   # sums of gamma**2
                 return params
@@ -108,7 +111,7 @@ class EmbedParams:
     def swapped(self):
         """Same constants with the roles of the two sides exchanged."""
         return EmbedParams(alpha=self.alpha, d_a=self.d_b, d_b=self.d_a,
-                           beta=self.beta, gamma=self.gamma, tol=self.tol)
+                           beta=self.beta, gamma=self.gamma)
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,10 @@ class UnionEmbedding:
     scale_b: float
 
     def as_dict(self):
+        """The ``embed`` command's report."""
         return {
-            "dim": self.full.dim,
-            "points": self.full.points.tolist(),
+            "embedding": {"dim": self.full.dim,
+                          "points": self.full.points.tolist()},
             "report": self.report.as_dict(),
             "audit": [e.as_dict() for e in self.audit],
             "params": asdict(self.params),
@@ -225,8 +229,7 @@ def build_psi(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     if rest.size:
         # plain rows: extend_sequential reads no matrix of its points
         psi[rest] = extend_sequential(
-            gmap, PointCloud(phi_a.points[np.searchsorted(ia, rest)]),
-            params.tol).points
+            gmap, PointCloud(phi_a.points[np.searchsorted(ia, rest)])).points
     psi[ib] = phi_b.points   # home side last: psi restricted to B is phi_b
     rows = np.zeros(X.n, dtype=np.intp)   # placed rows: measured below
     rows[C.cover_idx] = nb
@@ -268,8 +271,8 @@ def headline_bound(params: EmbedParams) -> float:
     if abs(params.alpha - _GEN_ALPHA) <= _EQ_TOL:
         return (7.0 * params.d_a * params.d_b
                 + 2.0 * (params.d_a + params.d_b))
-    iso = abs(params.d_a - 1.0) <= _EQ_TOL and abs(params.d_b - 1.0) <= _EQ_TOL
-    if iso and abs(params.alpha - _ISO_ALPHA) <= _EQ_TOL:
+    if (_isometric(params.d_a, params.d_b)
+            and abs(params.alpha - _ISO_ALPHA) <= _EQ_TOL):
         return _ISO_BOUND
     return math.sqrt(max(_sq_bounds(params)))
 
@@ -358,17 +361,17 @@ def _full_audit(fams, r, params, full, report, phi_a, phi_b, psi_delta):
 
 def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
                 params: EmbedParams | None = None,
-                tol: float = 1e-7,
                 alpha: float | None = None) -> UnionEmbedding:
     """Non-contracting embedding of the whole space, fully audited.
 
     Side inputs are rescaled to non-contracting form if they contract
     slightly (the factor is recorded), and their Lipschitz constants are
-    measured rather than trusted.  ``params`` claims d_a and d_b (and
-    ``tol`` is unused); without it each is measured, the side's expansion
-    but at least 1, and EmbedParams.derive gives the rest at ``alpha``
-    (select_alpha's choice when None) and ``tol``.  Give at most one of
-    the two.  Each side is checked once, against params.d_a or params.d_b.
+    measured rather than trusted.  ``params`` claims d_a and d_b; without
+    it each is measured, the side's expansion but at least 1, and
+    EmbedParams.derive gives the rest at ``alpha`` (select_alpha's choice
+    when None).  Give at most one of the two.  Each side is checked once,
+    against params.d_a or params.d_b.  Placements take
+    ``extend_sequential``'s default slack.
     Each side's image distances are measured at most once, and the
     returned ``full`` carries its squared distances, the sum of its
     summands'; the returned psi clouds carry none.  The caller's clouds
@@ -381,7 +384,7 @@ def embed_union(X: FiniteMetricSpace, P: UnionPartition, phi_a, phi_b,
     if params is None:
         d_a, d_b = max(rep_a.expansion, 1.0), max(rep_b.expansion, 1.0)
         alpha = select_alpha(d_a, d_b) if alpha is None else alpha
-        params = EmbedParams.derive(alpha, d_a, d_b, tol)
+        params = EmbedParams.derive(alpha, d_a, d_b)
     # each side non-contracting, with expansion at most its constant
     sides = Collector(_AUDIT_REL)
     for side, rep, lip in (("A", rep_a, params.d_a), ("B", rep_b, params.d_b)):

@@ -111,6 +111,20 @@ def test_load_json_leaves_refused_matrices_as_json_load_lists(tmp_path,
     assert _load(tmp_path, text) == json.loads(text)
 
 
+def test_load_json_reads_other_arrays_as_json_load_does(tmp_path):
+    # arrays outside a dist or points key, and a matrix nested inside an
+    # array, go to the C scanner whole and come back as json.load's lists
+    text = ('{"partition": {"a": [0, 1, 2.0], "b": [ ]},'
+            ' "a_idx": [3, -0.0, 1E2, 12345678901234567890],'
+            ' "nested": [[1, [2, {"dist": [[0, 1], [1, 0]]}]], [], [[]]],'
+            ' "cases": [{"points": [[0.5]]}, null, true, "x"],'
+            ' "labels": ["p", ["q", 1.5]], "empty": []}')
+    got, ref = _load(tmp_path, text), json.loads(text)
+    assert got == ref
+    assert repr(got) == repr(ref)   # the same types: -0.0 and ints stay
+    assert type(got["cases"][0]["points"]) is list
+
+
 def test_load_json_holds_no_nested_floats(tmp_path):
     # json.load's nested lists hold about 32 bytes per entry (a Python
     # float and its pointer), a float64 array 8

@@ -421,8 +421,6 @@ def test_malformed_tolerance_is_an_input_error(tol):
         extend_sequential(M, xs, tol=tol)
     with pytest.raises(InputError):
         extend_one_point(M, [0.15], tol=tol)
-    with pytest.raises(InputError):
-        EmbedParams.derive(0.5, 1.0, 1.0, tol)
 
 
 def test_two_dimensional_grid_oracle():

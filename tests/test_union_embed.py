@@ -36,6 +36,12 @@ def test_select_alpha():
     assert select_alpha(2.0, 3.0) == 0.5
     with pytest.raises(InputError):
         select_alpha(0.5, 1.0)
+    # one side-constant rule: a constant below 1 by any margin is refused
+    for d_a, d_b in ((1.0 - 1e-13, 1.0), (1.0, 1.0 - 1e-13)):
+        with pytest.raises(InputError):
+            select_alpha(d_a, d_b)
+        with pytest.raises(InputError):
+            EmbedParams.derive(0.5, d_a, d_b)
 
 
 def test_params_derive_formulas():
@@ -245,8 +251,7 @@ def test_alpha_is_params_derived_from_the_measured_sides():
                                      (P.idx_b, inst.phi_b)))
         measured = embed_union(X, P, inst.phi_a, inst.phi_b, alpha=alpha)
         claimed = embed_union(X, P, inst.phi_a, inst.phi_b,
-                              params=EmbedParams.derive(alpha, d_a, d_b,
-                                                        1e-7))
+                              params=EmbedParams.derive(alpha, d_a, d_b))
         assert measured.params == claimed.params
         assert np.array_equal(measured.full.points, claimed.full.points)
         assert canonical_dumps(measured.as_dict()) \
@@ -257,6 +262,26 @@ def test_alpha_and_params_together_are_refused(small):
     with pytest.raises(InputError, match="alpha or params"):
         embed_union(small.space, small.partition, small.phi_a, small.phi_b,
                     params=EmbedParams.derive(0.5, 1.0, 1.0), alpha=0.5)
+
+
+def test_swapping_the_sides_swaps_the_embedding():
+    # embed_union(X, P.swapped(), phi_B, phi_A) is the forward run with
+    # psi_A and psi_B exchanged and psi_Delta negated, bit for bit
+    for k in range(30):
+        inst = union_instance(6 + k, 5 + (7 * k) % 23, 2 + k % 3,
+                              2 + (k // 3) % 3, seed=200 + k, overlap=k % 3)
+        X, P = inst.space, inst.partition
+        fwd = embed_union(X, P, inst.phi_a, inst.phi_b)
+        back = embed_union(X, P.swapped(), inst.phi_b, inst.phi_a)
+        assert np.array_equal(back.psi_a.points, fwd.psi_b.points)
+        assert np.array_equal(back.psi_b.points, fwd.psi_a.points)
+        assert np.array_equal(back.psi_delta.points, -fwd.psi_delta.points)
+        assert np.array_equal(back.full.points, np.hstack(
+            [fwd.psi_b.points, fwd.psi_a.points, -fwd.psi_delta.points]))
+        assert back.full.sq_dist.tobytes() == fwd.full.sq_dist.tobytes()
+        assert back.report == fwd.report   # witnesses included
+        assert back.params == fwd.params.swapped()
+        assert (back.scale_a, back.scale_b) == (fwd.scale_b, fwd.scale_a)
 
 
 def test_embed_union_reaches_build_psi_by_module_attribute(monkeypatch,
